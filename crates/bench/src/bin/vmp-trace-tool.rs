@@ -79,7 +79,8 @@ fn usage() -> ExitCode {
          the result is bit-identical to the uninterrupted run; state-diff\n\
          prints the first divergent field/byte of two snapshots; golden\n\
          regenerates the committed golden-state corpus (--check byte-compares\n\
-         against DIR instead of writing, exits non-zero and state-diffs on\n\
+         against DIR instead of writing, resumes each committed file and\n\
+         byte-compares its re-encoding, exits non-zero and state-diffs on\n\
          mismatch)"
     );
     ExitCode::FAILURE
@@ -659,13 +660,26 @@ fn run() -> Result<(), String> {
                 let bytes = snap.to_bytes();
                 if check {
                     let committed = MachineSnapshot::load(&path).map_err(|e| e.to_string())?;
-                    if committed.to_bytes() == bytes {
-                        println!("  {name}: ok ({} bytes)", bytes.len());
-                    } else {
+                    // The decoder is gated too: resuming the committed file and
+                    // snapshotting at once must re-encode it byte for byte.
+                    let mut reencoded = resume_chaos(&committed, workload, seed)?
+                        .snapshot()
+                        .map_err(|e| format!("{name}: re-snapshot: {e}"))?;
+                    reencoded.set_meta(committed.meta().cloned().unwrap_or(json::Value::Null));
+                    if committed.to_bytes() != bytes {
                         mismatches += 1;
                         let divergence = MachineSnapshot::diff(&committed, &snap)
                             .unwrap_or_else(|| "container framing differs".into());
                         eprintln!("  {name}: MISMATCH — first divergence: {divergence}");
+                    } else if reencoded.to_bytes() != bytes {
+                        mismatches += 1;
+                        let divergence = MachineSnapshot::diff(&committed, &reencoded)
+                            .unwrap_or_else(|| "container framing differs".into());
+                        eprintln!(
+                            "  {name}: RESUME MISMATCH — re-encoding differs at {divergence}"
+                        );
+                    } else {
+                        println!("  {name}: ok ({} bytes, resumes and re-encodes)", bytes.len());
                     }
                 } else {
                     std::fs::write(&path, &bytes).map_err(|e| format!("write {path}: {e}"))?;

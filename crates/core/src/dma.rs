@@ -67,8 +67,10 @@ pub(crate) struct DmaEngine {
     /// An earlier request touching the same frames; this one waits for
     /// it (the OS-level lock of §3.3 serializes overlapping regions).
     pub(crate) blocked_on: Option<usize>,
-    buffer: Vec<u8>,
-    seq: u64,
+    /// Bytes captured so far by a `FromMemory` transfer.
+    pub(crate) buffer: Vec<u8>,
+    /// Sequence number of the engine's latest scheduled event.
+    pub(crate) seq: u64,
 }
 
 impl DmaEngine {
@@ -91,34 +93,6 @@ impl DmaEngine {
     pub(crate) fn bump_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
-    }
-
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    pub(crate) fn extend_buffer(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
-    }
-
-    pub(crate) fn buffer(&self) -> &[u8] {
-        &self.buffer
-    }
-
-    /// Writes the engine's mid-transfer progress verbatim (checkpoint
-    /// restore): phase, serialization edge, capture buffer and event
-    /// sequence number.
-    pub(crate) fn restore_progress(
-        &mut self,
-        phase: DmaPhase,
-        blocked_on: Option<usize>,
-        buffer: Vec<u8>,
-        seq: u64,
-    ) {
-        self.phase = phase;
-        self.blocked_on = blocked_on;
-        self.buffer = buffer;
-        self.seq = seq;
     }
 }
 
@@ -156,9 +130,7 @@ mod tests {
             DmaEngine::new(ProcessorId::new(5), 0, DmaRequest::from_memory(vec![FrameNum::new(0)]));
         assert_eq!(e.phase, DmaPhase::Setup(0));
         assert_eq!(e.bump_seq(), 1);
-        assert_eq!(e.seq(), 1);
-        e.extend_buffer(&[1, 2]);
-        assert_eq!(e.buffer(), &[1, 2]);
+        assert_eq!(e.seq, 1);
     }
 
     #[test]

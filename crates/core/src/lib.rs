@@ -44,6 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+mod codec;
 mod config;
 mod dma;
 mod error;
@@ -64,5 +66,5 @@ pub use machine::Machine;
 pub use phys_index::PhysIndex;
 pub use program::{sweep_refs, Op, OpResult, Program, ScriptProgram, TraceProgram};
 pub use snapshot::MachineSnapshot;
-pub use stats::{bus_stats_json, FaultStats, MachineReport, ProcessorStats};
+pub use stats::{FaultStats, MachineReport, ProcessorStats};
 pub use vmp_obs::{MachineObs, ObsConfig};

@@ -8,7 +8,7 @@ use vmp_bus::{
     NoFaults, VmeBus,
 };
 use vmp_cache::{DataCache, SlotFlags, SlotId, Tag};
-use vmp_mem::{LocalMemory, MainMemory};
+use vmp_mem::MainMemory;
 use vmp_obs::{EventKind, MachineObs, MissCause};
 use vmp_sim::{AttentionClock, EventQueue, Histogram};
 use vmp_trace::MemRef;
@@ -83,9 +83,6 @@ pub(crate) struct Cpu {
     pub(crate) asid: Asid,
     pub(crate) cache: DataCache,
     pub(crate) monitor: BusMonitor,
-    /// Modelled local RAM; handler data structures conceptually live here.
-    #[allow(dead_code)]
-    pub(crate) local: LocalMemory,
     pub(crate) phys: PhysIndex,
     pub(crate) program: Option<Box<dyn Program>>,
     pub(crate) state: CpuState,
@@ -163,7 +160,7 @@ enum ResolveOutcome {
 /// Watchdog limits with the derive-from-timings defaults already
 /// resolved at build time.
 #[derive(Debug, Clone, Copy)]
-struct ResolvedWatchdog {
+pub(crate) struct ResolvedWatchdog {
     retry_limit: u64,
     lag_limit: Nanos,
     zero_yield_limit: u64,
@@ -195,9 +192,9 @@ pub struct Machine {
     /// disabled path is a single branch per instrumentation site, and
     /// recording only ever reads simulator state, so enabling it cannot
     /// perturb a run.
-    obs: Option<Box<MachineObs>>,
+    pub(crate) obs: Option<Box<MachineObs>>,
     /// Liveness watchdog, resolved from the configuration at build.
-    watchdog: Option<ResolvedWatchdog>,
+    pub(crate) watchdog: Option<ResolvedWatchdog>,
     /// Violation detected inside a kernel service loop (which cannot
     /// return an error); surfaced by the event loop.
     pub(crate) stuck: Option<WatchdogViolation>,
@@ -235,7 +232,6 @@ impl Machine {
                 asid: Asid::new(1),
                 cache: DataCache::new(config.cache),
                 monitor: BusMonitor::new(ProcessorId::new(i), frames),
-                local: LocalMemory::default(),
                 phys: PhysIndex::with_geometry(config.cache.sets(), config.cache.associativity()),
                 program: None,
                 state: CpuState::Halted,
@@ -447,7 +443,7 @@ impl Machine {
     pub fn dma_result(&self, handle: usize) -> Option<&[u8]> {
         let d = self.dmas.get(handle)?;
         if d.phase == DmaPhase::Done && d.request.direction == DmaDirection::FromMemory {
-            Some(d.buffer())
+            Some(&d.buffer)
         } else {
             None
         }
@@ -539,7 +535,7 @@ impl Machine {
                     }
                 }
                 Event::Dma { dma, seq } => {
-                    if self.dmas[dma].seq() == seq {
+                    if self.dmas[dma].seq == seq {
                         self.step_dma(dma);
                     }
                 }
@@ -1945,7 +1941,7 @@ impl Machine {
                     self.memory.write_frame(frame, &bytes);
                 } else {
                     let bytes = self.memory.read_frame(frame);
-                    self.dmas[handle].extend_buffer(&bytes);
+                    self.dmas[handle].buffer.extend_from_slice(&bytes);
                 }
                 // Monitors ignore plain transfers, but observe them anyway
                 // for completeness (no action-table code reacts).

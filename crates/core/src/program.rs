@@ -7,7 +7,8 @@ use vmp_obs::json::Value;
 use vmp_trace::MemRef;
 use vmp_types::{AccessKind, Asid, Nanos, PhysAddr, VirtAddr};
 
-use crate::snapshot::{op_from_value, op_result_from_value, op_result_to_value, op_to_value};
+use crate::codec::{Dec, Enc, Leaf};
+use crate::MachineError;
 
 /// One operation a program asks its processor to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +63,13 @@ impl fmt::Display for Op {
     }
 }
 
+tagged! { Op {
+    "compute" => Compute(t), "read" => Read(a), "write" => Write(a, v), "tas" => Tas(a),
+    "notify" => Notify(a), "watch" => WatchNotify(a), "wait" => WaitNotify(),
+    "uread" => UncachedRead(a), "uwrite" => UncachedWrite(a, v), "utas" => UncachedTas(a),
+    "halt" => Halt(),
+} }
+
 /// The result of the previously executed operation, passed back to the
 /// program when it is asked for its next operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,6 +84,10 @@ pub enum OpResult {
     /// A notification arrived (after `WaitNotify`, or asynchronously).
     Notified(VirtAddr),
 }
+
+tagged! { OpResult {
+    "none" => None(), "read" => Read(v), "tas" => Tas(v), "notified" => Notified(a),
+} }
 
 /// A program drives one processor: the machine repeatedly executes the
 /// operation returned by [`Program::next_op`], feeding back each result.
@@ -153,40 +165,7 @@ impl Program for ScriptProgram {
         self.ops.pop_front().unwrap_or(Op::Halt)
     }
 
-    fn save_state(&self) -> Option<Value> {
-        Some(
-            Value::obj()
-                .set("type", "script")
-                .set("ops", Value::Arr(self.ops.iter().map(op_to_value).collect()))
-                .set(
-                    "observed",
-                    Value::Arr(self.observed.iter().map(op_result_to_value).collect()),
-                ),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> bool {
-        if state.get("type").and_then(Value::as_str) != Some("script") {
-            return false;
-        }
-        let (Some(ops), Some(observed)) = (
-            state.get("ops").and_then(Value::as_arr),
-            state.get("observed").and_then(Value::as_arr),
-        ) else {
-            return false;
-        };
-        let Some(ops) = ops.iter().map(op_from_value).collect::<Option<VecDeque<Op>>>() else {
-            return false;
-        };
-        let Some(observed) =
-            observed.iter().map(op_result_from_value).collect::<Option<Vec<OpResult>>>()
-        else {
-            return false;
-        };
-        self.ops = ops;
-        self.observed = observed;
-        true
-    }
+    program_state! { "script", config [], progress [ops, observed] }
 }
 
 /// Replays a reference trace, spending `think` time per reference.
@@ -267,49 +246,33 @@ impl Program for TraceProgram {
         }
     }
 
+    // The reference stream itself is not serialized: the trace is an
+    // input artifact the resuming caller re-supplies, and the cursor
+    // fast-forwards a fresh iterator to the captured position.
     fn save_state(&self) -> Option<Value> {
-        // The reference stream itself is not serialized: the trace is an
-        // input artifact the resuming caller re-supplies, and the cursor
-        // below fast-forwards a fresh iterator to the captured position.
-        Some(
-            Value::obj()
-                .set("type", "trace")
-                .set("emitted", self.emitted)
-                .set("thinking", self.thinking)
-                .set("has_pending", self.pending_ref.is_some()),
-        )
+        let (emitted, thinking, has_pending) =
+            (self.emitted, self.thinking, self.pending_ref.is_some());
+        let cursor = TraceCursor { emitted, thinking, has_pending }.enc(&mut Enc::default());
+        Some(crate::codec::merge(Value::obj().set("type", "trace"), cursor))
     }
 
     fn restore_state(&mut self, state: &Value) -> bool {
-        if state.get("type").and_then(Value::as_str) != Some("trace") {
+        let Ok(c) = TraceCursor::dec(state, &Dec::over(&[])) else { return false };
+        let fresh = self.emitted == 0 && self.pending_ref.is_none();
+        if state.get("type").and_then(Value::as_str) != Some("trace") || !fresh {
             return false;
         }
-        let (Some(emitted), Some(thinking), Some(has_pending)) = (
-            state.get("emitted").and_then(Value::as_u64),
-            state.get("thinking").and_then(Value::as_bool),
-            state.get("has_pending").and_then(Value::as_bool),
-        ) else {
+        // Fails when the supplied trace is shorter than the captured one.
+        if c.emitted > 0 && self.refs.nth(c.emitted as usize - 1).is_none() {
             return false;
-        };
-        if self.emitted != 0 || self.pending_ref.is_some() {
-            return false; // must restore into a fresh instance
         }
-        for _ in 0..emitted {
-            if self.refs.next().is_none() {
-                return false; // supplied trace shorter than the captured one
-            }
-        }
-        if has_pending {
-            self.pending_ref = self.refs.next();
-            if self.pending_ref.is_none() {
-                return false;
-            }
-        }
-        self.emitted = emitted;
-        self.thinking = thinking;
-        true
+        self.pending_ref = if c.has_pending { self.refs.next() } else { None };
+        (self.emitted, self.thinking) = (c.emitted, c.thinking);
+        self.pending_ref.is_some() == c.has_pending
     }
 }
+
+record! { struct TraceCursor { emitted: u64, thinking: bool, has_pending: bool } }
 
 /// Builds a simple sequential-sweep reference stream for tests and
 /// examples: `count` word reads walking from `base`.

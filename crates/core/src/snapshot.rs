@@ -18,6 +18,12 @@
 //! [`MachineSnapshot::diff`] compare two snapshots structurally and
 //! report the first divergent field or byte.
 //!
+//! The header layout is the field lists below (see [`crate::codec`]): the
+//! same list drives both [`Machine::snapshot`] and [`Machine::resume`].
+//! Components whose state sits behind accessors (bus, cache, monitor,
+//! kernel, ...) go through a small state record, converted once in each
+//! direction.
+//!
 //! Programs and fault hooks hold trait objects the machine cannot
 //! construct on its own, so [`Machine::resume`] takes caller-supplied
 //! fresh instances and rewinds them with [`Program::restore_state`] /
@@ -25,17 +31,21 @@
 
 use std::collections::BTreeMap;
 
-use vmp_bus::{ActionCode, BusTxKind, FaultHook, InterruptWord};
-use vmp_cache::{SlotFlags, SlotId, Tag};
+use vmp_bus::{ActionCode, BusMonitor, BusStats, BusTxKind, FaultHook, InterruptWord, VmeBus};
+use vmp_cache::{DataCache, SlotFlags, SlotId, Tag};
+use vmp_mem::MainMemory;
 use vmp_obs::json::{parse, Value};
 use vmp_obs::MissCause;
 use vmp_sim::{AttentionClock, BusyTracker, EventQueue, Histogram};
-use vmp_types::{Asid, FrameNum, Nanos, PhysAddr, ProcessorId, VirtAddr, VirtPageNum};
+use vmp_types::{Asid, FrameNum, Nanos, VirtAddr, VirtPageNum};
 use vmp_vm::Pte;
 
+use crate::codec::{bad, get, merge, within, Codec, Dec, Enc, Leaf, Page};
 use crate::dma::{DmaDirection, DmaEngine, DmaPhase, DmaRequest};
-use crate::machine::{CpuState, Event, FetchCont, PendingWork, UpgradeCont};
-use crate::{Machine, MachineConfig, MachineError, Op, OpResult, Program};
+use crate::machine::{Cpu, CpuState, Event, FetchCont, PendingWork, UpgradeCont};
+use crate::{
+    FaultStats, Kernel, Machine, MachineConfig, MachineError, PhysIndex, ProcessorStats, Program,
+};
 
 /// Container magic: "VMPSNAP" plus a one-byte format version.
 const MAGIC: &[u8; 8] = b"VMPSNAP\x01";
@@ -55,34 +65,6 @@ pub struct MachineSnapshot {
     blob: Vec<u8>,
 }
 
-/// Accumulates bulk byte ranges and hands out `{"$blob", "len"}` refs.
-struct BlobWriter {
-    buf: Vec<u8>,
-}
-
-impl BlobWriter {
-    fn new() -> Self {
-        BlobWriter { buf: Vec::new() }
-    }
-
-    fn push(&mut self, bytes: &[u8]) -> Value {
-        let off = self.buf.len() as u64;
-        self.buf.extend_from_slice(bytes);
-        Value::obj().set("$blob", off).set("len", bytes.len() as u64)
-    }
-}
-
-/// Resolves a `{"$blob", "len"}` ref against the blob.
-fn blob_slice<'a>(blob: &'a [u8], v: &Value) -> Result<&'a [u8], MachineError> {
-    let (Some(off), Some(len)) =
-        (v.get("$blob").and_then(Value::as_u64), v.get("len").and_then(Value::as_u64))
-    else {
-        return Err(corrupt("expected a blob reference"));
-    };
-    let (off, len) = (off as usize, len as usize);
-    blob.get(off..off + len).ok_or_else(|| corrupt("blob reference out of range"))
-}
-
 fn corrupt(detail: impl Into<String>) -> MachineError {
     MachineError::SnapshotCorrupt { detail: detail.into() }
 }
@@ -91,296 +73,287 @@ fn mismatch(detail: impl Into<String>) -> MachineError {
     MachineError::SnapshotMismatch { detail: detail.into() }
 }
 
-fn h_u64(v: &Value, key: &str) -> Result<u64, MachineError> {
-    v.get(key).and_then(Value::as_u64).ok_or_else(|| corrupt(format!("bad field `{key}`")))
-}
-
-fn h_ns(v: &Value, key: &str) -> Result<Nanos, MachineError> {
-    h_u64(v, key).map(Nanos::from_ns)
-}
-
-fn h_bool(v: &Value, key: &str) -> Result<bool, MachineError> {
-    v.get(key).and_then(Value::as_bool).ok_or_else(|| corrupt(format!("bad field `{key}`")))
-}
-
-fn h_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, MachineError> {
-    v.get(key).and_then(Value::as_str).ok_or_else(|| corrupt(format!("bad field `{key}`")))
-}
-
-fn h_arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], MachineError> {
-    v.get(key).and_then(Value::as_arr).ok_or_else(|| corrupt(format!("bad field `{key}`")))
-}
-
 // ----------------------------------------------------------------------
-// Scalar codecs shared with program/workload state (pub(crate))
+// The header's field lists
 // ----------------------------------------------------------------------
 
-pub(crate) fn op_to_value(op: &Op) -> Value {
-    match *op {
-        Op::Compute(t) => Value::obj().set("k", "compute").set("t", t.as_ns()),
-        Op::Read(a) => Value::obj().set("k", "read").set("a", a.raw()),
-        Op::Write(a, v) => Value::obj().set("k", "write").set("a", a.raw()).set("v", v),
-        Op::Tas(a) => Value::obj().set("k", "tas").set("a", a.raw()),
-        Op::Notify(a) => Value::obj().set("k", "notify").set("a", a.raw()),
-        Op::WatchNotify(a) => Value::obj().set("k", "watch").set("a", a.raw()),
-        Op::WaitNotify => Value::obj().set("k", "wait"),
-        Op::UncachedRead(a) => Value::obj().set("k", "uread").set("a", a.raw()),
-        Op::UncachedWrite(a, v) => Value::obj().set("k", "uwrite").set("a", a.raw()).set("v", v),
-        Op::UncachedTas(a) => Value::obj().set("k", "utas").set("a", a.raw()),
-        Op::Halt => Value::obj().set("k", "halt"),
+record! {
+    /// The machine shape a snapshot resumes into (checked, not restored).
+    #[derive(Debug, PartialEq)]
+    struct ConfigDigest {
+        processors: usize, page_size: u64, sets: usize, ways: usize, memory_bytes: u64,
+        obs_enabled: bool,
     }
 }
 
-pub(crate) fn op_from_value(v: &Value) -> Option<Op> {
-    let a = || v.get("a").and_then(Value::as_u64);
-    let word = || v.get("v").and_then(Value::as_u64).and_then(|x| u32::try_from(x).ok());
-    Some(match v.get("k").and_then(Value::as_str)? {
-        "compute" => Op::Compute(Nanos::from_ns(v.get("t").and_then(Value::as_u64)?)),
-        "read" => Op::Read(VirtAddr::new(a()?)),
-        "write" => Op::Write(VirtAddr::new(a()?), word()?),
-        "tas" => Op::Tas(VirtAddr::new(a()?)),
-        "notify" => Op::Notify(VirtAddr::new(a()?)),
-        "watch" => Op::WatchNotify(VirtAddr::new(a()?)),
-        "wait" => Op::WaitNotify,
-        "uread" => Op::UncachedRead(PhysAddr::new(a()?)),
-        "uwrite" => Op::UncachedWrite(PhysAddr::new(a()?), word()?),
-        "utas" => Op::UncachedTas(PhysAddr::new(a()?)),
-        "halt" => Op::Halt,
-        _ => return None,
-    })
-}
-
-pub(crate) fn op_result_to_value(r: &OpResult) -> Value {
-    match *r {
-        OpResult::None => Value::obj().set("k", "none"),
-        OpResult::Read(v) => Value::obj().set("k", "read").set("v", v),
-        OpResult::Tas(v) => Value::obj().set("k", "tas").set("v", v),
-        OpResult::Notified(a) => Value::obj().set("k", "notified").set("a", a.raw()),
+impl ConfigDigest {
+    fn of(c: &MachineConfig) -> Self {
+        let (processors, memory_bytes, obs_enabled) = (c.processors, c.memory_bytes, c.obs.enabled);
+        let (page_size, sets, ways) =
+            (c.cache.page_size().bytes(), c.cache.sets(), c.cache.associativity());
+        ConfigDigest { processors, page_size, sets, ways, memory_bytes, obs_enabled }
     }
 }
 
-pub(crate) fn op_result_from_value(v: &Value) -> Option<OpResult> {
-    let word = || v.get("v").and_then(Value::as_u64).and_then(|x| u32::try_from(x).ok());
-    Some(match v.get("k").and_then(Value::as_str)? {
-        "none" => OpResult::None,
-        "read" => OpResult::Read(word()?),
-        "tas" => OpResult::Tas(word()?),
-        "notified" => OpResult::Notified(VirtAddr::new(v.get("a").and_then(Value::as_u64)?)),
-        _ => return None,
-    })
-}
+// The header is `version`, `config`, these fields, `fault_hook`, `cpus`.
+// Observability is not captured, the watchdog is rebuilt from the
+// config, and a latched violation refuses the snapshot.
+record! { in_place Machine {
+    now, events_delivered, queue, bus, memory, kernel, swap, dma_protected, dmas, fault_stats,
+} skip { config, cpus, fault_hook, obs, watchdog, stuck } }
 
-fn flags_to_bits(f: SlotFlags) -> u64 {
-    u64::from(f.valid)
-        | u64::from(f.modified) << 1
-        | u64::from(f.exclusive) << 2
-        | u64::from(f.supervisor_write) << 3
-        | u64::from(f.user_read) << 4
-        | u64::from(f.user_write) << 5
-}
+// Each processor is these fields, then `program`.
+record! { in_place Cpu {
+    asid, state, pending, last_result, wake_seq, wake_pending, watches, pending_notify,
+    park_deadline, retry_streak, zero_yield_acquires, attention, op_start, op_stalled,
+    miss_latency, stats, cache, monitor, phys,
+} skip { id, program } }
 
-fn flags_from_bits(b: u64) -> SlotFlags {
-    SlotFlags {
-        valid: b & 1 != 0,
-        modified: b & 2 != 0,
-        exclusive: b & 4 != 0,
-        supervisor_write: b & 8 != 0,
-        user_read: b & 16 != 0,
-        user_write: b & 32 != 0,
+record! { FaultStats {
+    injected_aborts, dropped_words, forced_overflows, copier_retries, copier_retry_time, stalls,
+    stall_time,
+} }
+record! { ProcessorStats {
+    refs, reads, writes, read_misses, write_misses, upgrades, pte_misses, page_faults, writebacks,
+    retries, consistency_interrupts, invalidations, downgrades, notifies, fifo_recoveries,
+    violations, useful_time, stall_time,
+} }
+record! { FetchCont { op, asid, va, want_private, cause, frame, slot } }
+record! { UpgradeCont { op, va, slot, frame } }
+record! { Pte { frame, writable, supervisor_only, referenced, modified, hint_private } }
+record! { InterruptWord { kind, frame, issuer } }
+record! { Tag { asid, vpn } }
+record! { SlotId { set, way } check |s, cx| {
+    cx.below("set", s.set, cx.sets)?;
+    cx.below("way", s.way, cx.ways)?;
+} }
+record! { DmaRequest { direction, frames, data } }
+record! { DmaEngine { id, host, request @flat, phase, blocked_on, buffer, seq } check |d, cx| {
+    cx.below("host", d.host, cx.cpus)?;
+    d.blocked_on.map(|b| cx.below("blocked_on", b, cx.dmas)).transpose()?;
+    if let DmaPhase::Setup(i) | DmaPhase::Transfer(i) = d.phase {
+        cx.below("phase frame", i, d.request.frames.len())?;
     }
-}
-
-/// Stable index of a bus-transaction kind (the same order
-/// `BusStats::counts_raw` uses).
-fn kind_to_idx(k: BusTxKind) -> u64 {
-    match k {
-        BusTxKind::ReadShared => 0,
-        BusTxKind::ReadPrivate => 1,
-        BusTxKind::AssertOwnership => 2,
-        BusTxKind::WriteBack => 3,
-        BusTxKind::Notify => 4,
-        BusTxKind::WriteActionTable => 5,
-        BusTxKind::PlainRead => 6,
-        BusTxKind::PlainWrite => 7,
+    let (frames, data) = (d.request.frames.len(), d.request.data.len());
+    let to_memory = d.request.direction == DmaDirection::ToMemory;
+    if frames == 0 || data != usize::from(to_memory) * frames * cx.page {
+        return Err(bad(format!("{frames} frames with {data} bytes of data")));
     }
-}
+} }
 
-fn kind_from_idx(i: u64) -> Option<BusTxKind> {
-    Some(match i {
-        0 => BusTxKind::ReadShared,
-        1 => BusTxKind::ReadPrivate,
-        2 => BusTxKind::AssertOwnership,
-        3 => BusTxKind::WriteBack,
-        4 => BusTxKind::Notify,
-        5 => BusTxKind::WriteActionTable,
-        6 => BusTxKind::PlainRead,
-        7 => BusTxKind::PlainWrite,
-        _ => return None,
-    })
-}
+tagged! { CpuState {
+    "halted" => Halted(), "ready" => Ready(), "parked" => Parked(),
+    "computing" => Computing { until },
+} }
+tagged! { PendingWork {
+    "full_op" => FullOp(op), "fetch" => FetchTx(..), "upgrade" => UpgradeTx(..),
+} }
+tagged! { DmaPhase {
+    "setup" => Setup(i), "transfer" => Transfer(i), "teardown" => Teardown(), "done" => Done(),
+} }
+names! { MissCause {
+    Read = "read", Write = "write", Upgrade = "upgrade", Pte = "pte", Kernel = "kernel",
+} }
+names! { DmaDirection { ToMemory = "to_mem", FromMemory = "from_mem" } }
+// Positions match `BusStats::counts_raw`.
+names! { BusTxKind [
+    ReadShared, ReadPrivate, AssertOwnership, WriteBack, Notify, WriteActionTable, PlainRead,
+    PlainWrite,
+] }
 
-fn cause_to_str(c: MissCause) -> &'static str {
-    match c {
-        MissCause::Read => "read",
-        MissCause::Write => "write",
-        MissCause::Upgrade => "upgrade",
-        MissCause::Pte => "pte",
-        MissCause::Kernel => "kernel",
-    }
+record! { struct QueueState { next_seq: u64, entries: Vec<QueueEntry> } }
+record! { struct QueueEntry { t: Nanos, qseq: u64, kind: EventKind, idx: usize, seq: u64 } }
+#[derive(Clone, Copy, PartialEq)]
+enum EventKind {
+    Wake,
+    Dma,
 }
-
-fn cause_from_str(s: &str) -> Option<MissCause> {
-    Some(match s {
-        "read" => MissCause::Read,
-        "write" => MissCause::Write,
-        "upgrade" => MissCause::Upgrade,
-        "pte" => MissCause::Pte,
-        "kernel" => MissCause::Kernel,
-        _ => return None,
-    })
-}
-
-fn slot_to_value(s: SlotId) -> Value {
-    Value::obj().set("set", s.set as u64).set("way", s.way as u64)
-}
-
-fn slot_from_value(v: &Value) -> Result<SlotId, MachineError> {
-    Ok(SlotId { set: h_u64(v, "set")? as usize, way: h_u64(v, "way")? as usize })
-}
-
-fn histogram_to_value(h: &Histogram) -> Value {
-    let (width, counts, overflow, total, sum, max) = h.state();
-    Value::obj()
-        .set("width", width.as_ns())
-        .set("counts", Value::Arr(counts.into_iter().map(Value::from).collect()))
-        .set("overflow", overflow)
-        .set("total", total)
-        .set("sum", sum.as_ns())
-        .set("max", max.as_ns())
-}
-
-fn histogram_from_value(v: &Value) -> Result<Histogram, MachineError> {
-    let counts = h_arr(v, "counts")?
-        .iter()
-        .map(|c| c.as_u64().ok_or_else(|| corrupt("bad histogram count")))
-        .collect::<Result<Vec<u64>, _>>()?;
-    Ok(Histogram::restore(
-        h_ns(v, "width")?,
-        counts,
-        h_u64(v, "overflow")?,
-        h_u64(v, "total")?,
-        h_ns(v, "sum")?,
-        h_ns(v, "max")?,
-    ))
-}
-
-fn event_to_value(t: Nanos, qseq: u64, e: &Event) -> Value {
-    let (kind, idx, seq) = match *e {
-        Event::Wake { cpu, seq } => ("wake", cpu as u64, seq),
-        Event::Dma { dma, seq } => ("dma", dma as u64, seq),
-    };
-    Value::obj()
-        .set("t", t.as_ns())
-        .set("qseq", qseq)
-        .set("kind", kind)
-        .set("idx", idx)
-        .set("seq", seq)
-}
-
-fn event_from_value(v: &Value) -> Result<(Nanos, u64, Event), MachineError> {
-    let idx = h_u64(v, "idx")? as usize;
-    let seq = h_u64(v, "seq")?;
-    let event = match h_str(v, "kind")? {
-        "wake" => Event::Wake { cpu: idx, seq },
-        "dma" => Event::Dma { dma: idx, seq },
-        other => return Err(corrupt(format!("unknown event kind `{other}`"))),
-    };
-    Ok((h_ns(v, "t")?, h_u64(v, "qseq")?, event))
-}
-
-fn cpu_state_to_value(s: CpuState) -> Value {
-    match s {
-        CpuState::Halted => Value::obj().set("k", "halted"),
-        CpuState::Ready => Value::obj().set("k", "ready"),
-        CpuState::Parked => Value::obj().set("k", "parked"),
-        CpuState::Computing { until } => {
-            Value::obj().set("k", "computing").set("until", until.as_ns())
+names! { EventKind { Wake = "wake", Dma = "dma" } }
+via! { EventQueue<Event> as QueueState {
+    enc |q| {
+        let entry = |(t, qseq, event)| {
+            let (kind, idx, seq) = match event {
+                Event::Wake { cpu, seq } => (EventKind::Wake, cpu, seq),
+                Event::Dma { dma, seq } => (EventKind::Dma, dma, seq),
+            };
+            QueueEntry { t, qseq, kind, idx, seq }
+        };
+        QueueState { next_seq: q.next_seq(), entries: q.entries().into_iter().map(entry).collect() }
+    },
+    dec |q, state, cx| {
+        let mut entries = Vec::with_capacity(state.entries.len());
+        for (i, QueueEntry { t, qseq, kind, idx, seq }) in state.entries.into_iter().enumerate() {
+            let (what, bound) = match kind {
+                EventKind::Wake => ("processor", cx.cpus),
+                EventKind::Dma => ("DMA engine", cx.dmas),
+            };
+            let at = |e| within(format_args!(".entries[{i}]"), e);
+            let idx = cx.below(what, idx, bound).map_err(at)?;
+            entries.push((t, qseq, match kind {
+                EventKind::Wake => Event::Wake { cpu: idx, seq },
+                EventKind::Dma => Event::Dma { dma: idx, seq },
+            }));
         }
-    }
-}
+        *q = EventQueue::restore(state.next_seq, entries);
+    },
+} }
 
-fn cpu_state_from_value(v: &Value) -> Result<CpuState, MachineError> {
-    Ok(match h_str(v, "k")? {
-        "halted" => CpuState::Halted,
-        "ready" => CpuState::Ready,
-        "parked" => CpuState::Parked,
-        "computing" => CpuState::Computing { until: h_ns(v, "until")? },
-        other => return Err(corrupt(format!("unknown cpu state `{other}`"))),
-    })
-}
+record! { struct BusState {
+    bookings: Vec<(Nanos, Nanos)>, watermark: Nanos, counts: [u64; 8], abort_counts: [u64; 8],
+    aborts: u64, injected_aborts: u64, busy: Nanos, busy_intervals: u64, arb_wait_total: Nanos,
+    arb_wait_max: Nanos, reservations: u64,
+} }
+via! { VmeBus as BusState {
+    enc |bus| {
+        let ((bookings, watermark), s) = (bus.bookings(), bus.stats());
+        let (counts, abort_counts) = (s.counts_raw(), s.abort_counts_raw());
+        let (busy, busy_intervals) = (s.busy.busy(), s.busy.intervals());
+        let &BusStats { aborts, injected_aborts, arb_wait_total, arb_wait_max, reservations, .. } =
+            s;
+        BusState { bookings, watermark, counts, abort_counts, aborts, injected_aborts, busy,
+            busy_intervals, arb_wait_total, arb_wait_max, reservations }
+    },
+    dec |bus, b, _cx| {
+        bus.restore_bookings(b.bookings, b.watermark);
+        let s = bus.stats_mut();
+        s.restore_raw_counts(b.counts, b.abort_counts);
+        (s.aborts, s.injected_aborts) = (b.aborts, b.injected_aborts);
+        (s.reservations, s.arb_wait_total, s.arb_wait_max) =
+            (b.reservations, b.arb_wait_total, b.arb_wait_max);
+        s.busy = BusyTracker::restore(b.busy, b.busy_intervals);
+    },
+} }
 
-fn pending_to_value(p: &PendingWork) -> Value {
-    match p {
-        PendingWork::FullOp(op) => Value::obj().set("k", "full_op").set("op", op_to_value(op)),
-        PendingWork::FetchTx(c) => Value::obj()
-            .set("k", "fetch")
-            .set("op", op_to_value(&c.op))
-            .set("asid", u64::from(c.asid.raw()))
-            .set("va", c.va.raw())
-            .set("want_private", c.want_private)
-            .set("cause", cause_to_str(c.cause))
-            .set("frame", c.frame.raw())
-            .set("slot", slot_to_value(c.slot)),
-        PendingWork::UpgradeTx(c) => Value::obj()
-            .set("k", "upgrade")
-            .set("op", op_to_value(&c.op))
-            .set("va", c.va.raw())
-            .set("slot", slot_to_value(c.slot))
-            .set("frame", c.frame.raw()),
-    }
-}
+// Only frames with non-zero content: resume starts from zeroed memory.
+record! { struct FrameData<'a> { frame: FrameNum, data: Page<'a> } }
+via! { MainMemory as Vec<FrameData<'_>> {
+    enc |mem| {
+        let page = |frame| Page(mem.read(frame, 0, mem.page_size().bytes() as usize).into());
+        let frames = (0..mem.frames()).map(FrameNum::new);
+        let frames = frames.map(|frame| FrameData { frame, data: page(frame) });
+        frames.filter(|f| f.data.0.iter().any(|&b| b != 0)).collect::<Vec<_>>()
+    },
+    dec |mem, frames, _cx| {
+        frames.into_iter().for_each(|f| mem.write_frame(f.frame, &f.data.0));
+    },
+} }
 
-fn pending_from_value(v: &Value) -> Result<PendingWork, MachineError> {
-    let op = |key: &str| -> Result<Op, MachineError> {
-        v.get(key).and_then(op_from_value).ok_or_else(|| corrupt("bad pending-work operation"))
-    };
-    Ok(match h_str(v, "k")? {
-        "full_op" => PendingWork::FullOp(op("op")?),
-        "fetch" => PendingWork::FetchTx(FetchCont {
-            op: op("op")?,
-            asid: Asid::new(h_u64(v, "asid")? as u8),
-            va: VirtAddr::new(h_u64(v, "va")?),
-            want_private: h_bool(v, "want_private")?,
-            cause: cause_from_str(h_str(v, "cause")?)
-                .ok_or_else(|| corrupt("unknown miss cause"))?,
-            frame: FrameNum::new(h_u64(v, "frame")?),
-            slot: slot_from_value(v.get("slot").ok_or_else(|| corrupt("missing slot"))?)?,
-        }),
-        "upgrade" => PendingWork::UpgradeTx(UpgradeCont {
-            op: op("op")?,
-            va: VirtAddr::new(h_u64(v, "va")?),
-            slot: slot_from_value(v.get("slot").ok_or_else(|| corrupt("missing slot"))?)?,
-            frame: FrameNum::new(h_u64(v, "frame")?),
-        }),
-        other => return Err(corrupt(format!("unknown pending work `{other}`"))),
-    })
-}
+record! { struct KernelState { free_list: Vec<FrameNum>, spaces: Vec<Space> } }
+record! { struct Space { asid: Asid, pages: Vec<PageEntry> } }
+record! { struct PageEntry { vpn: VirtPageNum, pte @flat: Pte } }
+via! { Kernel as KernelState {
+    enc |k| {
+        let pages = |asid| k.space(asid).into_iter().flat_map(|s| s.iter());
+        let pages = |asid| pages(asid).map(|(vpn, &pte)| PageEntry { vpn, pte }).collect();
+        let spaces = k.asids().into_iter().map(|asid| Space { asid, pages: pages(asid) });
+        let free_list = k.free_list().into_iter().map(FrameNum::new).collect();
+        KernelState { free_list, spaces: spaces.collect() }
+    },
+    dec |k, state, _cx| {
+        for Space { asid, pages } in state.spaces {
+            k.space_mut(asid); // an empty space still exists
+            pages.into_iter().for_each(|p| _ = k.map(asid, p.vpn, p.pte));
+        }
+        k.restore_free_list(state.free_list.into_iter().map(FrameNum::raw).collect());
+    },
+} }
 
-fn u64s(values: impl IntoIterator<Item = u64>) -> Value {
-    Value::Arr(values.into_iter().map(Value::from).collect())
-}
+record! { struct SwapPage<'a> { asid: Asid, vpn: VirtPageNum, data: Page<'a> } }
+via! { BTreeMap<(Asid, VirtPageNum), Vec<u8>> as Vec<SwapPage<'_>> {
+    enc |m| {
+        let pages = m.iter().map(|(&(asid, vpn), data)| (asid, vpn, Page(data.into())));
+        pages.map(|(asid, vpn, data)| SwapPage { asid, vpn, data }).collect::<Vec<_>>()
+    },
+    dec |m, pages, _cx| {
+        *m = pages.into_iter().map(|p| ((p.asid, p.vpn), p.data.0.into_owned())).collect();
+    },
+} }
 
-fn u64_list(v: &Value, key: &str) -> Result<Vec<u64>, MachineError> {
-    h_arr(v, key)?
-        .iter()
-        .map(|x| x.as_u64().ok_or_else(|| corrupt(format!("bad entry in `{key}`"))))
-        .collect()
-}
+record! { struct Protected { frame: FrameNum, host: usize } }
+via! { BTreeMap<FrameNum, usize> as Vec<Protected> {
+    enc |m| m.iter().map(|(&frame, &host)| Protected { frame, host }).collect::<Vec<_>>(),
+    dec |m, all, cx| {
+        let entries = all.into_iter().map(|p| Ok((p.frame, cx.below("host", p.host, cx.cpus)?)));
+        *m = entries.collect::<Result<_, MachineError>>()?;
+    },
+} }
 
-fn u64_array8(v: &Value, key: &str) -> Result<[u64; 8], MachineError> {
-    let list = u64_list(v, key)?;
-    <[u64; 8]>::try_from(list).map_err(|_| corrupt(format!("`{key}` must have 8 entries")))
-}
+record! { struct Watch { frame: FrameNum, va: VirtAddr } }
+via! { BTreeMap<FrameNum, VirtAddr> as Vec<Watch> {
+    enc |m| m.iter().map(|(&frame, &va)| Watch { frame, va }).collect::<Vec<_>>(),
+    dec |m, all, _cx| *m = all.into_iter().map(|w| (w.frame, w.va)).collect(),
+} }
+
+record! { struct HistogramState {
+    width: Nanos, counts: Vec<u64>, overflow: u64, total: u64, sum: Nanos, max: Nanos,
+} }
+via! { Histogram as HistogramState {
+    enc |h| {
+        let (width, counts, overflow, total, sum, max) = h.state();
+        HistogramState { width, counts, overflow, total, sum, max }
+    },
+    dec |hist, h, _cx| {
+        if h.width == Nanos::ZERO || h.counts.is_empty() {
+            return Err(bad("a histogram needs a bucket width and at least one bucket"));
+        }
+        *hist = Histogram::restore(h.width, h.counts, h.overflow, h.total, h.sum, h.max);
+    },
+} }
+
+// When attention was first needed, or `null`.
+via! { AttentionClock as Option<Nanos> {
+    enc |a| a.since(),
+    dec |clock, since, _cx| {
+        *clock = AttentionClock::new();
+        since.into_iter().for_each(|t| clock.note(t));
+    },
+} }
+
+record! { struct CacheState<'a> { clock: u64, slots: Vec<CachedPage<'a>> } }
+record! { struct CachedPage<'a> {
+    id @flat: SlotId, tag @flat: Tag, flags: SlotFlags, last_use: u64, data: Page<'a>,
+} }
+via! { DataCache as CacheState<'_> {
+    enc |c| {
+        let page = |id| Page(c.read(id, 0, c.config().page_size().bytes() as usize).into());
+        let slots = c.iter_valid().map(|(id, tag, flags)| {
+            CachedPage { id, tag, flags, last_use: c.last_use(id), data: page(id) }
+        });
+        CacheState { clock: c.clock(), slots: slots.collect() }
+    },
+    dec |c, state, _cx| {
+        for s in state.slots {
+            c.restore_slot(s.id, s.tag, s.flags, s.last_use, s.data.0.into_owned());
+        }
+        c.restore_clock(state.clock);
+    },
+} }
+
+record! { struct MonitorState {
+    table: Vec<Action>, fifo: Vec<InterruptWord>, overflow: bool, queued_total: u64,
+    dropped_total: u64,
+} }
+record! { struct Action { frame: FrameNum, code: ActionCode } }
+via! { BusMonitor as MonitorState {
+    enc |m| MonitorState {
+        table: m.table().iter_active().map(|(frame, code)| Action { frame, code }).collect(),
+        fifo: m.pending_words().copied().collect(),
+        overflow: m.overflowed(),
+        queued_total: m.queued_total(),
+        dropped_total: m.dropped_total(),
+    },
+    dec |m, s, cx| {
+        cx.below("FIFO word count", s.fifo.len(), vmp_bus::FIFO_CAPACITY + 1)?;
+        s.table.into_iter().for_each(|a| m.table_mut().set(a.frame, a.code));
+        m.restore_fifo(s.fifo, s.overflow, s.queued_total, s.dropped_total);
+    },
+} }
+
+record! { struct Cached { frame: FrameNum, slot: SlotId } }
+via! { PhysIndex as Vec<Cached> {
+    enc |p| p.iter().map(|(frame, slot)| Cached { frame, slot }).collect::<Vec<_>>(),
+    dec |p, all, _cx| all.into_iter().for_each(|c| p.insert(c.frame, c.slot)),
+} }
 
 // ----------------------------------------------------------------------
 // Snapshot container
@@ -397,10 +370,9 @@ impl MachineSnapshot {
     /// sweep-cell labels — carried inside the snapshot header.
     pub fn set_meta(&mut self, meta: Value) {
         if let Value::Obj(pairs) = &mut self.header {
-            if let Some(slot) = pairs.iter_mut().find(|(k, _)| k == "meta") {
-                slot.1 = meta;
-            } else {
-                pairs.push(("meta".to_string(), meta));
+            match pairs.iter_mut().find(|(k, _)| k == "meta") {
+                Some(slot) => slot.1 = meta,
+                None => pairs.push(("meta".to_string(), meta)),
             }
         }
     }
@@ -415,10 +387,10 @@ impl MachineSnapshot {
         let header = self.header.to_string().into_bytes();
         let mut out = Vec::with_capacity(MAGIC.len() + 16 + header.len() + self.blob.len());
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(header.len() as u64).to_le_bytes());
-        out.extend_from_slice(&header);
-        out.extend_from_slice(&(self.blob.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.blob);
+        for section in [&header, &self.blob] {
+            out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+            out.extend_from_slice(section);
+        }
         out
     }
 
@@ -432,24 +404,22 @@ impl MachineSnapshot {
         let rest = bytes
             .strip_prefix(MAGIC.as_slice())
             .ok_or_else(|| corrupt("bad magic (not a VMP snapshot, or wrong format version)"))?;
-        let take_len = |b: &[u8]| -> Result<(usize, usize), MachineError> {
-            let raw: [u8; 8] =
-                b.get(..8).and_then(|s| s.try_into().ok()).ok_or_else(|| corrupt("truncated"))?;
-            Ok((u64::from_le_bytes(raw) as usize, 8))
-        };
-        let (header_len, off) = take_len(rest)?;
-        let header_bytes =
-            rest.get(off..off + header_len).ok_or_else(|| corrupt("truncated header"))?;
-        let header_str =
-            std::str::from_utf8(header_bytes).map_err(|_| corrupt("header is not UTF-8"))?;
-        let header = parse(header_str).map_err(|e| corrupt(format!("header JSON: {e}")))?;
-        let rest = &rest[off + header_len..];
-        let (blob_len, off) = take_len(rest)?;
-        let blob = rest.get(off..off + blob_len).ok_or_else(|| corrupt("truncated blob"))?;
-        if rest.len() != off + blob_len {
-            return Err(corrupt("trailing bytes after blob"));
+        let (header, rest) = Self::section(rest, "header")?;
+        let header = std::str::from_utf8(header).map_err(|_| corrupt("header is not UTF-8"))?;
+        let header = parse(header).map_err(|e| corrupt(format!("header JSON: {e}")))?;
+        match Self::section(rest, "blob")? {
+            (blob, []) => Ok(MachineSnapshot { header, blob: blob.to_vec() }),
+            _ => Err(corrupt("trailing bytes after blob")),
         }
-        Ok(MachineSnapshot { header, blob: blob.to_vec() })
+    }
+
+    /// Splits one u64-length-prefixed section off the front of `b`.
+    fn section<'a>(b: &'a [u8], what: &str) -> Result<(&'a [u8], &'a [u8]), MachineError> {
+        let len = b.get(..8).map(|n| u64::from_le_bytes(n.try_into().unwrap()));
+        let end = len.and_then(|n| usize::try_from(n).ok()?.checked_add(8));
+        let end =
+            end.filter(|&e| e <= b.len()).ok_or_else(|| corrupt(format!("truncated {what}")))?;
+        Ok((&b[8..end], &b[end..]))
     }
 
     /// Writes the container to a file.
@@ -478,66 +448,70 @@ impl MachineSnapshot {
     /// `cpus[1].cache.slots[3].data: byte 17 differs (0x00 vs 0x2a)`) —
     /// or `None` when they are identical.
     pub fn diff(a: &MachineSnapshot, b: &MachineSnapshot) -> Option<String> {
-        diff_value("$", &a.header, a, &b.header, b)
+        diff_value("$", &a.header, &Dec::over(&a.blob), &b.header, &Dec::over(&b.blob))
     }
 }
 
-fn is_blob_ref(v: &Value) -> bool {
-    matches!(v, Value::Obj(pairs) if pairs.iter().any(|(k, _)| k == "$blob"))
+/// An object's or list's children, each with its path segment.
+fn children(v: &Value) -> Option<Vec<(String, &Value)>> {
+    match v {
+        Value::Obj(pairs) => Some(pairs.iter().map(|(k, v)| (format!(".{k}"), v)).collect()),
+        Value::Arr(items) => {
+            Some(items.iter().enumerate().map(|(i, v)| (format!("[{i}]"), v)).collect())
+        }
+        _ => None,
+    }
 }
 
-fn diff_value(
-    path: &str,
-    a: &Value,
-    sa: &MachineSnapshot,
-    b: &Value,
-    sb: &MachineSnapshot,
-) -> Option<String> {
-    if is_blob_ref(a) && is_blob_ref(b) {
-        let da = blob_slice(&sa.blob, a).ok()?;
-        let db = blob_slice(&sb.blob, b).ok()?;
+fn diff_value(path: &str, a: &Value, ca: &Dec, b: &Value, cb: &Dec) -> Option<String> {
+    if let (Ok(da), Ok(db)) = (ca.bytes(a), cb.bytes(b)) {
         if da.len() != db.len() {
             return Some(format!("{path}: blob length {} vs {}", da.len(), db.len()));
         }
-        return da
-            .iter()
-            .zip(db)
-            .position(|(x, y)| x != y)
-            .map(|i| format!("{path}: byte {i} differs (0x{:02x} vs 0x{:02x})", da[i], db[i]));
+        let i = da.iter().zip(db).position(|(x, y)| x != y)?;
+        return Some(format!("{path}: byte {i} differs (0x{:02x} vs 0x{:02x})", da[i], db[i]));
     }
-    match (a, b) {
-        (Value::Obj(pa), Value::Obj(pb)) => {
-            if pa.len() != pb.len() {
-                return Some(format!("{path}: {} keys vs {}", pa.len(), pb.len()));
-            }
-            for ((ka, va), (kb, vb)) in pa.iter().zip(pb) {
-                if ka != kb {
-                    return Some(format!("{path}: key `{ka}` vs `{kb}`"));
-                }
-                if let Some(d) = diff_value(&format!("{path}.{ka}"), va, sa, vb, sb) {
-                    return Some(d);
-                }
-            }
-            None
-        }
-        (Value::Arr(xa), Value::Arr(xb)) => {
+    match (children(a), children(b)) {
+        (Some(xa), Some(xb)) if std::mem::discriminant(a) == std::mem::discriminant(b) => {
             if xa.len() != xb.len() {
                 return Some(format!("{path}: {} entries vs {}", xa.len(), xb.len()));
             }
-            for (i, (va, vb)) in xa.iter().zip(xb).enumerate() {
-                if let Some(d) = diff_value(&format!("{path}[{i}]"), va, sa, vb, sb) {
-                    return Some(d);
-                }
-            }
-            None
+            xa.iter().zip(&xb).find_map(|((ka, va), (kb, vb))| match ka == kb {
+                true => diff_value(&format!("{path}{ka}"), va, ca, vb, cb),
+                false => Some(format!("{path}: key `{ka}` vs `{kb}`")),
+            })
         }
         _ => (a != b).then(|| format!("{path}: {a} vs {b}")),
     }
 }
 
 // ----------------------------------------------------------------------
-// Capture
+// Capture and resume
 // ----------------------------------------------------------------------
+
+/// Hands captured `state` to the caller-supplied fresh `object` (a program
+/// or the fault hook), which must be present exactly when state was
+/// captured and must accept it.
+fn rewind<T, S>(
+    what: String,
+    state: Option<S>,
+    object: Option<T>,
+    restore: impl FnOnce(&mut T, S) -> bool,
+) -> Result<Option<T>, MachineError> {
+    match (state, object) {
+        (None, None) => Ok(None),
+        (None, Some(_)) => {
+            Err(mismatch(format!("{what} was supplied but the snapshot holds none")))
+        }
+        (Some(_), None) => {
+            Err(mismatch(format!("the snapshot holds {what} but none was supplied")))
+        }
+        (Some(s), Some(mut o)) => match restore(&mut o, s) {
+            true => Ok(Some(o)),
+            false => Err(mismatch(format!("the supplied {what} rejected the captured state"))),
+        },
+    }
+}
 
 impl Machine {
     /// Captures the complete machine state as a [`MachineSnapshot`].
@@ -553,314 +527,28 @@ impl Machine {
     /// violation is latched, or when a non-halted processor runs a
     /// program that does not implement [`Program::save_state`].
     pub fn snapshot(&self) -> Result<MachineSnapshot, MachineError> {
+        let unsupported = |detail| Err(MachineError::SnapshotUnsupported { detail });
         if let Some(v) = &self.stuck {
-            return Err(MachineError::SnapshotUnsupported {
-                detail: format!("watchdog violation latched: {v}"),
-            });
+            return unsupported(format!("watchdog violation latched: {v}"));
         }
-        let mut blob = BlobWriter::new();
-        let page = self.config.cache.page_size();
-
-        let config = Value::obj()
-            .set("processors", self.config.processors as u64)
-            .set("page_size", page.bytes())
-            .set("sets", self.config.cache.sets() as u64)
-            .set("ways", self.config.cache.associativity() as u64)
-            .set("memory_bytes", self.config.memory_bytes)
-            .set("obs_enabled", self.config.obs.enabled);
-
-        let queue = Value::obj().set("next_seq", self.queue.next_seq()).set(
-            "entries",
-            Value::Arr(
-                self.queue
-                    .entries()
-                    .iter()
-                    .map(|(t, qseq, e)| event_to_value(*t, *qseq, e))
-                    .collect(),
-            ),
-        );
-
-        let (bookings, watermark) = self.bus.bookings();
-        let bs = self.bus.stats();
-        let bus = Value::obj()
-            .set(
-                "bookings",
-                Value::Arr(bookings.iter().map(|&(s, e)| u64s([s.as_ns(), e.as_ns()])).collect()),
-            )
-            .set("watermark", watermark.as_ns())
-            .set("counts", u64s(bs.counts_raw()))
-            .set("abort_counts", u64s(bs.abort_counts_raw()))
-            .set("aborts", bs.aborts)
-            .set("injected_aborts", bs.injected_aborts)
-            .set("busy", bs.busy.busy().as_ns())
-            .set("busy_intervals", bs.busy.intervals())
-            .set("arb_wait_total", bs.arb_wait_total.as_ns())
-            .set("arb_wait_max", bs.arb_wait_max.as_ns())
-            .set("reservations", bs.reservations);
-
-        // Main memory: only frames with non-zero content (fresh frames
-        // are all-zero, and resume starts from a zeroed memory).
-        let mut frames = Vec::new();
-        for f in 0..self.memory.frames() {
-            let frame = FrameNum::new(f);
-            let data = self.memory.read_frame(frame);
-            if data.iter().any(|&b| b != 0) {
-                frames.push(Value::obj().set("frame", f).set("data", blob.push(&data)));
-            }
-        }
-
-        let spaces = Value::Arr(
-            self.kernel
-                .asids()
-                .into_iter()
-                .map(|asid| {
-                    let pages = self
-                        .kernel
-                        .space(asid)
-                        .map(|space| {
-                            space
-                                .iter()
-                                .map(|(vpn, pte)| {
-                                    Value::obj()
-                                        .set("vpn", vpn.raw())
-                                        .set("frame", pte.frame.raw())
-                                        .set("writable", pte.writable)
-                                        .set("supervisor_only", pte.supervisor_only)
-                                        .set("referenced", pte.referenced)
-                                        .set("modified", pte.modified)
-                                        .set("hint_private", pte.hint_private)
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    Value::obj().set("asid", u64::from(asid.raw())).set("pages", Value::Arr(pages))
-                })
-                .collect(),
-        );
-        let kernel =
-            Value::obj().set("free_list", u64s(self.kernel.free_list())).set("spaces", spaces);
-
-        let swap = Value::Arr(
-            self.swap
-                .iter()
-                .map(|(&(asid, vpn), data)| {
-                    Value::obj()
-                        .set("asid", u64::from(asid.raw()))
-                        .set("vpn", vpn.raw())
-                        .set("data", blob.push(data))
-                })
-                .collect(),
-        );
-
-        let dma_protected = Value::Arr(
-            self.dma_protected
-                .iter()
-                .map(|(&frame, &host)| {
-                    Value::obj().set("frame", frame.raw()).set("host", host as u64)
-                })
-                .collect(),
-        );
-
-        let dmas = Value::Arr(
-            self.dmas
-                .iter()
-                .map(|d| {
-                    let phase = match d.phase {
-                        DmaPhase::Setup(i) => Value::obj().set("k", "setup").set("i", i as u64),
-                        DmaPhase::Transfer(i) => {
-                            Value::obj().set("k", "transfer").set("i", i as u64)
-                        }
-                        DmaPhase::Teardown => Value::obj().set("k", "teardown"),
-                        DmaPhase::Done => Value::obj().set("k", "done"),
-                    };
-                    Value::obj()
-                        .set("id", d.id.index() as u64)
-                        .set("host", d.host as u64)
-                        .set(
-                            "direction",
-                            match d.request.direction {
-                                DmaDirection::ToMemory => "to_mem",
-                                DmaDirection::FromMemory => "from_mem",
-                            },
-                        )
-                        .set("frames", u64s(d.request.frames.iter().map(|f| f.raw())))
-                        .set("data", blob.push(&d.request.data))
-                        .set("phase", phase)
-                        .set(
-                            "blocked_on",
-                            d.blocked_on.map_or(Value::Null, |i| Value::from(i as u64)),
-                        )
-                        .set("buffer", blob.push(d.buffer()))
-                        .set("seq", d.seq())
-                })
-                .collect(),
-        );
-
-        let fs = &self.fault_stats;
-        let fault_stats = Value::obj()
-            .set("injected_aborts", fs.injected_aborts)
-            .set("dropped_words", fs.dropped_words)
-            .set("forced_overflows", fs.forced_overflows)
-            .set("copier_retries", fs.copier_retries)
-            .set("copier_retry_time", fs.copier_retry_time.as_ns())
-            .set("stalls", fs.stalls)
-            .set("stall_time", fs.stall_time.as_ns());
-
-        let fault_hook = match self.fault_hook.save_state() {
-            Some(bytes) => blob.push(&bytes),
-            None => Value::Null,
-        };
-
-        let mut cpus = Vec::with_capacity(self.cpus.len());
+        let mut programs = Vec::with_capacity(self.cpus.len());
         for cpu in &self.cpus {
-            let program = match &cpu.program {
-                Some(p) => match p.save_state() {
-                    Some(state) => state,
-                    None if cpu.state == CpuState::Halted => Value::Null,
-                    None => {
-                        return Err(MachineError::SnapshotUnsupported {
-                            detail: format!("{} runs a program without state capture", cpu.id),
-                        })
-                    }
-                },
-                None => Value::Null,
-            };
-            let slots = Value::Arr(
-                cpu.cache
-                    .iter_valid()
-                    .map(|(id, tag, flags)| {
-                        Value::obj()
-                            .set("set", id.set as u64)
-                            .set("way", id.way as u64)
-                            .set("asid", u64::from(tag.asid.raw()))
-                            .set("vpn", tag.vpn.raw())
-                            .set("flags", flags_to_bits(flags))
-                            .set("last_use", cpu.cache.last_use(id))
-                            .set("data", blob.push(&cpu.cache.snapshot(id)))
-                    })
-                    .collect(),
-            );
-            let table = Value::Arr(
-                cpu.monitor
-                    .table()
-                    .iter_active()
-                    .map(|(frame, code)| {
-                        Value::obj().set("frame", frame.raw()).set("code", u64::from(code.bits()))
-                    })
-                    .collect(),
-            );
-            let fifo = Value::Arr(
-                cpu.monitor
-                    .pending_words()
-                    .map(|w| {
-                        Value::obj()
-                            .set("kind", kind_to_idx(w.kind))
-                            .set("frame", w.frame.raw())
-                            .set("issuer", w.issuer.index() as u64)
-                    })
-                    .collect(),
-            );
-            let st = &cpu.stats;
-            let stats = Value::obj()
-                .set("refs", st.refs)
-                .set("reads", st.reads)
-                .set("writes", st.writes)
-                .set("read_misses", st.read_misses)
-                .set("write_misses", st.write_misses)
-                .set("upgrades", st.upgrades)
-                .set("pte_misses", st.pte_misses)
-                .set("page_faults", st.page_faults)
-                .set("writebacks", st.writebacks)
-                .set("retries", st.retries)
-                .set("consistency_interrupts", st.consistency_interrupts)
-                .set("invalidations", st.invalidations)
-                .set("downgrades", st.downgrades)
-                .set("notifies", st.notifies)
-                .set("fifo_recoveries", st.fifo_recoveries)
-                .set("violations", st.violations)
-                .set("useful_time", st.useful_time.as_ns())
-                .set("stall_time", st.stall_time.as_ns());
-            cpus.push(
-                Value::obj()
-                    .set("asid", u64::from(cpu.asid.raw()))
-                    .set("state", cpu_state_to_value(cpu.state))
-                    .set("pending", cpu.pending.as_ref().map_or(Value::Null, pending_to_value))
-                    .set("last_result", op_result_to_value(&cpu.last_result))
-                    .set("wake_seq", cpu.wake_seq)
-                    .set("wake_pending", cpu.wake_pending)
-                    .set(
-                        "watches",
-                        Value::Arr(
-                            cpu.watches
-                                .iter()
-                                .map(|(&f, &va)| {
-                                    Value::obj().set("frame", f.raw()).set("va", va.raw())
-                                })
-                                .collect(),
-                        ),
-                    )
-                    .set(
-                        "pending_notify",
-                        cpu.pending_notify.map_or(Value::Null, |a| Value::from(a.raw())),
-                    )
-                    .set(
-                        "park_deadline",
-                        cpu.park_deadline.map_or(Value::Null, |t| Value::from(t.as_ns())),
-                    )
-                    .set("retry_streak", u64::from(cpu.retry_streak))
-                    .set("zero_yield_acquires", cpu.zero_yield_acquires)
-                    .set(
-                        "attention",
-                        cpu.attention.since().map_or(Value::Null, |t| Value::from(t.as_ns())),
-                    )
-                    .set("op_start", cpu.op_start.as_ns())
-                    .set("op_stalled", cpu.op_stalled)
-                    .set("miss_latency", histogram_to_value(&cpu.miss_latency))
-                    .set("stats", stats)
-                    .set("cache", Value::obj().set("clock", cpu.cache.clock()).set("slots", slots))
-                    .set(
-                        "monitor",
-                        Value::obj()
-                            .set("table", table)
-                            .set("fifo", fifo)
-                            .set("overflow", cpu.monitor.overflowed())
-                            .set("queued_total", cpu.monitor.queued_total())
-                            .set("dropped_total", cpu.monitor.dropped_total()),
-                    )
-                    .set(
-                        "phys",
-                        Value::Arr(
-                            cpu.phys
-                                .iter()
-                                .map(|(frame, slot)| {
-                                    Value::obj()
-                                        .set("frame", frame.raw())
-                                        .set("slot", slot_to_value(slot))
-                                })
-                                .collect(),
-                        ),
-                    )
-                    .set("program", program),
-            );
+            let state = cpu.program.as_ref().map(|p| p.save_state());
+            if state == Some(None) && cpu.state != CpuState::Halted {
+                return unsupported(format!("{} runs a program without state capture", cpu.id));
+            }
+            programs.push(state.flatten().unwrap_or(Value::Null));
         }
-
-        let header = Value::obj()
-            .set("version", VERSION)
-            .set("config", config)
-            .set("now", self.now.as_ns())
-            .set("events_delivered", self.events_delivered)
-            .set("queue", queue)
-            .set("bus", bus)
-            .set("memory", Value::Arr(frames))
-            .set("kernel", kernel)
-            .set("swap", swap)
-            .set("dma_protected", dma_protected)
-            .set("dmas", dmas)
-            .set("fault_stats", fault_stats)
-            .set("fault_hook", fault_hook)
-            .set("cpus", Value::Arr(cpus));
-
-        Ok(MachineSnapshot { header, blob: blob.buf })
+        let cx = &mut Enc::default();
+        let config = ConfigDigest::of(&self.config).enc(cx);
+        let header =
+            merge(Value::obj().set("version", VERSION).set("config", config), self.save(cx));
+        let header = header.set("fault_hook", self.fault_hook.save_state().enc(cx));
+        let cpus = self.cpus.iter().zip(programs).map(|(c, p)| c.save(cx).set("program", p));
+        Ok(MachineSnapshot {
+            header: header.set("cpus", cpus.collect::<Vec<_>>()),
+            blob: std::mem::take(&mut cx.blob),
+        })
     }
 
     /// Rebuilds a machine from a snapshot so that continuing it is
@@ -878,339 +566,56 @@ impl Machine {
     ///
     /// Returns [`MachineError::SnapshotMismatch`] when the config,
     /// programs or hook do not match the snapshot, and
-    /// [`MachineError::SnapshotCorrupt`] for malformed headers.
+    /// [`MachineError::SnapshotCorrupt`] for malformed headers — including
+    /// any index or length outside the machine being rebuilt.
     pub fn resume(
         config: MachineConfig,
         snap: &MachineSnapshot,
         programs: Vec<Option<Box<dyn Program>>>,
         hook: Option<Box<dyn FaultHook>>,
     ) -> Result<Machine, MachineError> {
-        let h = &snap.header;
-        if h_u64(h, "version")? != VERSION {
+        let (h, root) = (&snap.header, |e| within("$", e));
+        let version: u64 = get(h, "version", &Dec::over(&[])).map_err(root)?;
+        if version != VERSION {
             return Err(mismatch(format!(
-                "snapshot version {} (this build reads {VERSION})",
-                h_u64(h, "version")?
+                "snapshot version {version} (this build reads {VERSION})"
             )));
         }
         let mut m = Machine::build(config)?;
-        let hc = h.get("config").ok_or_else(|| corrupt("missing config digest"))?;
-        let digest: [(&str, u64); 5] = [
-            ("processors", m.config.processors as u64),
-            ("page_size", m.config.cache.page_size().bytes()),
-            ("sets", m.config.cache.sets() as u64),
-            ("ways", m.config.cache.associativity() as u64),
-            ("memory_bytes", m.config.memory_bytes),
-        ];
-        for (key, ours) in digest {
-            let theirs = h_u64(hc, key)?;
-            if theirs != ours {
-                return Err(mismatch(format!("{key}: snapshot has {theirs}, machine has {ours}")));
-            }
-        }
-        if h_bool(hc, "obs_enabled")? != m.config.obs.enabled {
-            return Err(mismatch("obs_enabled differs"));
-        }
-        if programs.len() != m.cpus.len() {
-            return Err(mismatch(format!(
-                "{} programs supplied for {} processors",
-                programs.len(),
-                m.cpus.len()
-            )));
-        }
-
-        m.now = h_ns(h, "now")?;
-        m.events_delivered = h_u64(h, "events_delivered")?;
-
-        let q = h.get("queue").ok_or_else(|| corrupt("missing queue"))?;
-        let entries =
-            h_arr(q, "entries")?.iter().map(event_from_value).collect::<Result<Vec<_>, _>>()?;
-        m.queue = EventQueue::restore(h_u64(q, "next_seq")?, entries);
-
-        let bv = h.get("bus").ok_or_else(|| corrupt("missing bus"))?;
-        let bookings = h_arr(bv, "bookings")?
-            .iter()
-            .map(|pair| {
-                let p = pair.as_arr().ok_or_else(|| corrupt("bad booking"))?;
-                match p {
-                    [s, e] => Ok((
-                        Nanos::from_ns(s.as_u64().ok_or_else(|| corrupt("bad booking"))?),
-                        Nanos::from_ns(e.as_u64().ok_or_else(|| corrupt("bad booking"))?),
-                    )),
-                    _ => Err(corrupt("bad booking")),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        m.bus.restore_bookings(bookings, h_ns(bv, "watermark")?);
-        let counts = u64_array8(bv, "counts")?;
-        let abort_counts = u64_array8(bv, "abort_counts")?;
-        let bs = m.bus.stats_mut();
-        bs.restore_raw_counts(counts, abort_counts);
-        bs.aborts = h_u64(bv, "aborts")?;
-        bs.injected_aborts = h_u64(bv, "injected_aborts")?;
-        bs.busy = BusyTracker::restore(h_ns(bv, "busy")?, h_u64(bv, "busy_intervals")?);
-        bs.arb_wait_total = h_ns(bv, "arb_wait_total")?;
-        bs.arb_wait_max = h_ns(bv, "arb_wait_max")?;
-        bs.reservations = h_u64(bv, "reservations")?;
-
-        for entry in h_arr(h, "memory")? {
-            let frame = FrameNum::new(h_u64(entry, "frame")?);
-            let data =
-                blob_slice(&snap.blob, entry.get("data").ok_or_else(|| corrupt("missing data"))?)?;
-            m.memory.write_frame(frame, data);
-        }
-
-        let kv = h.get("kernel").ok_or_else(|| corrupt("missing kernel"))?;
-        for space in h_arr(kv, "spaces")? {
-            let asid = Asid::new(h_u64(space, "asid")? as u8);
-            m.kernel.space_mut(asid); // force creation even when empty
-            for page in h_arr(space, "pages")? {
-                let pte = Pte {
-                    frame: FrameNum::new(h_u64(page, "frame")?),
-                    writable: h_bool(page, "writable")?,
-                    supervisor_only: h_bool(page, "supervisor_only")?,
-                    referenced: h_bool(page, "referenced")?,
-                    modified: h_bool(page, "modified")?,
-                    hint_private: h_bool(page, "hint_private")?,
-                };
-                m.kernel.map(asid, VirtPageNum::new(h_u64(page, "vpn")?), pte);
-            }
-        }
-        m.kernel.restore_free_list(u64_list(kv, "free_list")?);
-
-        for entry in h_arr(h, "swap")? {
-            let key =
-                (Asid::new(h_u64(entry, "asid")? as u8), VirtPageNum::new(h_u64(entry, "vpn")?));
-            let data =
-                blob_slice(&snap.blob, entry.get("data").ok_or_else(|| corrupt("missing data"))?)?;
-            m.swap.insert(key, data.to_vec());
-        }
-
-        for entry in h_arr(h, "dma_protected")? {
-            m.dma_protected
-                .insert(FrameNum::new(h_u64(entry, "frame")?), h_u64(entry, "host")? as usize);
-        }
-
-        for entry in h_arr(h, "dmas")? {
-            let frames = u64_list(entry, "frames")?.into_iter().map(FrameNum::new).collect();
-            let data =
-                blob_slice(&snap.blob, entry.get("data").ok_or_else(|| corrupt("missing data"))?)?
-                    .to_vec();
-            let direction = match h_str(entry, "direction")? {
-                "to_mem" => DmaDirection::ToMemory,
-                "from_mem" => DmaDirection::FromMemory,
-                other => return Err(corrupt(format!("unknown DMA direction `{other}`"))),
-            };
-            let request = DmaRequest { frames, direction, data };
-            let host = h_u64(entry, "host")? as usize;
-            let mut engine =
-                DmaEngine::new(ProcessorId::new(h_u64(entry, "id")? as usize), host, request);
-            let pv = entry.get("phase").ok_or_else(|| corrupt("missing phase"))?;
-            let phase = match h_str(pv, "k")? {
-                "setup" => DmaPhase::Setup(h_u64(pv, "i")? as usize),
-                "transfer" => DmaPhase::Transfer(h_u64(pv, "i")? as usize),
-                "teardown" => DmaPhase::Teardown,
-                "done" => DmaPhase::Done,
-                other => return Err(corrupt(format!("unknown DMA phase `{other}`"))),
-            };
-            let blocked_on = match entry.get("blocked_on") {
-                Some(Value::Null) | None => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| corrupt("bad blocked_on"))? as usize),
-            };
-            let buffer = blob_slice(
-                &snap.blob,
-                entry.get("buffer").ok_or_else(|| corrupt("missing buffer"))?,
-            )?
-            .to_vec();
-            engine.restore_progress(phase, blocked_on, buffer, h_u64(entry, "seq")?);
-            m.dmas.push(engine);
-        }
-
-        let fsv = h.get("fault_stats").ok_or_else(|| corrupt("missing fault_stats"))?;
-        m.fault_stats = crate::FaultStats {
-            injected_aborts: h_u64(fsv, "injected_aborts")?,
-            dropped_words: h_u64(fsv, "dropped_words")?,
-            forced_overflows: h_u64(fsv, "forced_overflows")?,
-            copier_retries: h_u64(fsv, "copier_retries")?,
-            copier_retry_time: h_ns(fsv, "copier_retry_time")?,
-            stalls: h_u64(fsv, "stalls")?,
-            stall_time: h_ns(fsv, "stall_time")?,
+        let cx = Dec {
+            sets: m.config.cache.sets(),
+            ways: m.config.cache.associativity(),
+            page: m.config.cache.page_size().bytes() as usize,
+            frames: m.memory.frames(),
+            cpus: m.cpus.len(),
+            dmas: h.get("dmas").and_then(Value::as_arr).map_or(0, <[Value]>::len),
+            ..Dec::over(&snap.blob)
         };
-
-        match h.get("fault_hook") {
-            Some(Value::Null) | None => {
-                if hook.is_some() {
-                    return Err(mismatch("a fault hook was supplied but the snapshot has none"));
-                }
-            }
-            Some(hook_ref) => {
-                let state = blob_slice(&snap.blob, hook_ref)?;
-                let mut hook = hook.ok_or_else(|| {
-                    mismatch("the snapshot captured a fault hook but none was supplied")
-                })?;
-                if !hook.restore_state(state) {
-                    return Err(mismatch("the supplied fault hook rejected the captured state"));
-                }
-                m.fault_hook = hook;
-            }
+        let (ours, theirs): (_, ConfigDigest) =
+            (ConfigDigest::of(&m.config), get(h, "config", &cx).map_err(root)?);
+        if ours != theirs {
+            return Err(mismatch(format!("snapshot is of {theirs:?}, machine is {ours:?}")));
         }
-
-        let cpu_values = h_arr(h, "cpus")?;
-        if cpu_values.len() != m.cpus.len() {
+        let cpu_values = h.get("cpus").and_then(Value::as_arr).unwrap_or_default();
+        if programs.len() != m.cpus.len() || cpu_values.len() != m.cpus.len() {
+            let (n, s, p) = (m.cpus.len(), cpu_values.len(), programs.len());
             return Err(mismatch(format!(
-                "snapshot has {} processors, machine has {}",
-                cpu_values.len(),
-                m.cpus.len()
+                "{n} processors, {s} in the snapshot, {p} programs supplied"
             )));
         }
-        for ((cpu, cv), program) in m.cpus.iter_mut().zip(cpu_values).zip(programs) {
-            cpu.asid = Asid::new(h_u64(cv, "asid")? as u8);
-            cpu.state =
-                cpu_state_from_value(cv.get("state").ok_or_else(|| corrupt("missing state"))?)?;
-            cpu.pending = match cv.get("pending") {
-                Some(Value::Null) | None => None,
-                Some(v) => Some(pending_from_value(v)?),
-            };
-            cpu.last_result = cv
-                .get("last_result")
-                .and_then(op_result_from_value)
-                .ok_or_else(|| corrupt("bad last_result"))?;
-            cpu.wake_seq = h_u64(cv, "wake_seq")?;
-            cpu.wake_pending = h_bool(cv, "wake_pending")?;
-            cpu.watches = h_arr(cv, "watches")?
-                .iter()
-                .map(|w| Ok((FrameNum::new(h_u64(w, "frame")?), VirtAddr::new(h_u64(w, "va")?))))
-                .collect::<Result<BTreeMap<_, _>, MachineError>>()?;
-            cpu.pending_notify = match cv.get("pending_notify") {
-                Some(Value::Null) | None => None,
-                Some(v) => {
-                    Some(VirtAddr::new(v.as_u64().ok_or_else(|| corrupt("bad pending_notify"))?))
-                }
-            };
-            cpu.park_deadline = match cv.get("park_deadline") {
-                Some(Value::Null) | None => None,
-                Some(v) => {
-                    Some(Nanos::from_ns(v.as_u64().ok_or_else(|| corrupt("bad park_deadline"))?))
-                }
-            };
-            cpu.retry_streak = h_u64(cv, "retry_streak")? as u32;
-            cpu.zero_yield_acquires = h_u64(cv, "zero_yield_acquires")?;
-            cpu.attention = AttentionClock::new();
-            if let Some(v) = cv.get("attention") {
-                if let Some(ns) = v.as_u64() {
-                    cpu.attention.note(Nanos::from_ns(ns));
-                }
-            }
-            cpu.op_start = h_ns(cv, "op_start")?;
-            cpu.op_stalled = h_bool(cv, "op_stalled")?;
-            cpu.miss_latency = histogram_from_value(
-                cv.get("miss_latency").ok_or_else(|| corrupt("missing miss_latency"))?,
-            )?;
-
-            let sv = cv.get("stats").ok_or_else(|| corrupt("missing stats"))?;
-            let st = &mut cpu.stats;
-            st.refs = h_u64(sv, "refs")?;
-            st.reads = h_u64(sv, "reads")?;
-            st.writes = h_u64(sv, "writes")?;
-            st.read_misses = h_u64(sv, "read_misses")?;
-            st.write_misses = h_u64(sv, "write_misses")?;
-            st.upgrades = h_u64(sv, "upgrades")?;
-            st.pte_misses = h_u64(sv, "pte_misses")?;
-            st.page_faults = h_u64(sv, "page_faults")?;
-            st.writebacks = h_u64(sv, "writebacks")?;
-            st.retries = h_u64(sv, "retries")?;
-            st.consistency_interrupts = h_u64(sv, "consistency_interrupts")?;
-            st.invalidations = h_u64(sv, "invalidations")?;
-            st.downgrades = h_u64(sv, "downgrades")?;
-            st.notifies = h_u64(sv, "notifies")?;
-            st.fifo_recoveries = h_u64(sv, "fifo_recoveries")?;
-            st.violations = h_u64(sv, "violations")?;
-            st.useful_time = h_ns(sv, "useful_time")?;
-            st.stall_time = h_ns(sv, "stall_time")?;
-
-            let cache = cv.get("cache").ok_or_else(|| corrupt("missing cache"))?;
-            for slot in h_arr(cache, "slots")? {
-                let id =
-                    SlotId { set: h_u64(slot, "set")? as usize, way: h_u64(slot, "way")? as usize };
-                let tag = Tag::new(
-                    Asid::new(h_u64(slot, "asid")? as u8),
-                    VirtPageNum::new(h_u64(slot, "vpn")?),
-                );
-                let data = blob_slice(
-                    &snap.blob,
-                    slot.get("data").ok_or_else(|| corrupt("missing slot data"))?,
-                )?;
-                cpu.cache.restore_slot(
-                    id,
-                    tag,
-                    flags_from_bits(h_u64(slot, "flags")?),
-                    h_u64(slot, "last_use")?,
-                    data.to_vec(),
-                );
-            }
-            cpu.cache.restore_clock(h_u64(cache, "clock")?);
-
-            let mon = cv.get("monitor").ok_or_else(|| corrupt("missing monitor"))?;
-            for entry in h_arr(mon, "table")? {
-                cpu.monitor.table_mut().set(
-                    FrameNum::new(h_u64(entry, "frame")?),
-                    ActionCode::from_bits(h_u64(entry, "code")? as u8),
-                );
-            }
-            let words = h_arr(mon, "fifo")?
-                .iter()
-                .map(|w| {
-                    Ok(InterruptWord {
-                        kind: kind_from_idx(h_u64(w, "kind")?)
-                            .ok_or_else(|| corrupt("bad interrupt kind"))?,
-                        frame: FrameNum::new(h_u64(w, "frame")?),
-                        issuer: ProcessorId::new(h_u64(w, "issuer")? as usize),
-                    })
-                })
-                .collect::<Result<Vec<_>, MachineError>>()?;
-            cpu.monitor.restore_fifo(
-                words,
-                h_bool(mon, "overflow")?,
-                h_u64(mon, "queued_total")?,
-                h_u64(mon, "dropped_total")?,
-            );
-
-            for entry in h_arr(cv, "phys")? {
-                cpu.phys.insert(
-                    FrameNum::new(h_u64(entry, "frame")?),
-                    slot_from_value(
-                        entry.get("slot").ok_or_else(|| corrupt("missing phys slot"))?,
-                    )?,
-                );
-            }
-
-            match cv.get("program") {
-                Some(Value::Null) | None => {
-                    if program.is_some() {
-                        return Err(mismatch(format!(
-                            "a program was supplied for {} but its snapshot holds no program state",
-                            cpu.id
-                        )));
-                    }
-                    cpu.program = None;
-                }
-                Some(state) => {
-                    let mut program = program.ok_or_else(|| {
-                        mismatch(format!(
-                            "the snapshot holds program state for {} but no program was supplied",
-                            cpu.id
-                        ))
-                    })?;
-                    if !program.restore_state(state) {
-                        return Err(mismatch(format!(
-                            "the supplied program for {} rejected the captured state",
-                            cpu.id
-                        )));
-                    }
-                    cpu.program = Some(program);
-                }
-            }
+        m.load(h, &cx).map_err(root)?;
+        let state: Option<Vec<u8>> = get(h, "fault_hook", &cx).map_err(root)?;
+        if let Some(hook) = rewind("a fault hook".into(), state, hook, |h, s| h.restore_state(&s))?
+        {
+            m.fault_hook = hook;
         }
-
+        for (i, ((cpu, cv), program)) in m.cpus.iter_mut().zip(cpu_values).zip(programs).enumerate()
+        {
+            cpu.load(cv, &cx).map_err(|e| within(format_args!("$.cpus[{i}]"), e))?;
+            let state: Option<Value> = get(cv, "program", &cx).map_err(root)?;
+            let what = format!("program state for {}", cpu.id);
+            cpu.program = rewind(what, state, program, |p, s| p.restore_state(&s))?;
+        }
         Ok(m)
     }
 }
@@ -1218,6 +623,12 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Op, OpResult};
+    use vmp_types::PhysAddr;
+
+    fn roundtrip<T: Leaf>(x: &T) -> T {
+        T::dec(&x.enc(&mut Enc::default()), &Dec::over(&[])).unwrap()
+    }
 
     #[test]
     fn op_codec_roundtrips() {
@@ -1235,9 +646,11 @@ mod tests {
             Op::Halt,
         ];
         for op in ops {
-            assert_eq!(op_from_value(&op_to_value(&op)), Some(op), "{op}");
+            assert_eq!(roundtrip(&op), op, "{op}");
         }
-        assert_eq!(op_from_value(&Value::obj().set("k", "bogus")), None);
+        assert!(Op::dec(&Value::obj().set("k", "bogus"), &Dec::over(&[])).is_err());
+        let spelled = Op::Write(VirtAddr::new(8), 3).enc(&mut Enc::default());
+        assert_eq!(spelled.to_string(), r#"{"k":"write","a":8,"v":3}"#);
     }
 
     #[test]
@@ -1248,23 +661,36 @@ mod tests {
             OpResult::Tas(1),
             OpResult::Notified(VirtAddr::new(0x100)),
         ] {
-            assert_eq!(op_result_from_value(&op_result_to_value(&r)), Some(r));
+            assert_eq!(roundtrip(&r), r);
         }
     }
 
     #[test]
     fn flags_bits_roundtrip() {
+        let cx = &Dec::over(&[]);
         for bits in 0..64u64 {
-            assert_eq!(flags_to_bits(flags_from_bits(bits)), bits);
+            let flags = SlotFlags::dec(&Value::from(bits), cx).unwrap();
+            assert_eq!(flags.enc(&mut Enc::default()), Value::from(bits));
         }
+        assert!(SlotFlags::dec(&Value::from(64u64), cx).is_err());
     }
 
     #[test]
     fn kind_idx_roundtrip() {
-        for i in 0..8 {
-            assert_eq!(kind_to_idx(kind_from_idx(i).unwrap()), i);
+        for (i, kind) in BusTxKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.enc(&mut Enc::default()), Value::from(i));
+            assert_eq!(roundtrip(&kind), kind);
         }
-        assert!(kind_from_idx(8).is_none());
+        assert!(BusTxKind::dec(&Value::from(8u64), &Dec::over(&[])).is_err());
+    }
+
+    #[test]
+    fn decode_errors_name_the_path() {
+        let mut cx = Dec::over(&[]);
+        cx.sets = 4;
+        let v = Value::Arr(vec![Value::obj().set("set", 9u64).set("way", 0u64)]);
+        let err = within("$", Vec::<SlotId>::dec(&v, &cx).unwrap_err()).to_string();
+        assert!(err.contains("$[0]: set 9 out of range"), "{err}");
     }
 
     #[test]
@@ -1278,16 +704,19 @@ mod tests {
         assert_eq!(back, snap);
         assert!(MachineSnapshot::from_bytes(b"NOTASNAP").is_err());
         assert!(MachineSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        let mut huge = bytes.clone();
+        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(MachineSnapshot::from_bytes(&huge).is_err());
     }
 
     #[test]
     fn diff_pinpoints_blob_byte() {
-        let mut blob_a = BlobWriter::new();
-        let ra = blob_a.push(&[0, 1, 2, 3]);
-        let a = MachineSnapshot { header: Value::obj().set("mem", ra), blob: blob_a.buf };
-        let mut blob_b = BlobWriter::new();
-        let rb = blob_b.push(&[0, 1, 9, 3]);
-        let b = MachineSnapshot { header: Value::obj().set("mem", rb), blob: blob_b.buf };
+        let mut ea = Enc::default();
+        let ra = vec![0u8, 1, 2, 3].enc(&mut ea);
+        let a = MachineSnapshot { header: Value::obj().set("mem", ra), blob: ea.blob };
+        let mut eb = Enc::default();
+        let rb = vec![0u8, 1, 9, 3].enc(&mut eb);
+        let b = MachineSnapshot { header: Value::obj().set("mem", rb), blob: eb.blob };
         let d = MachineSnapshot::diff(&a, &b).unwrap();
         assert!(d.contains("$.mem") && d.contains("byte 2"), "{d}");
         assert_eq!(MachineSnapshot::diff(&a, &a), None);

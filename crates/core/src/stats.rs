@@ -240,7 +240,7 @@ impl MachineReport {
 
 /// Renders shared-bus statistics as a JSON object with per-kind
 /// completed/aborted transaction counts keyed by the kind labels.
-pub fn bus_stats_json(bus: &BusStats) -> Value {
+fn bus_stats_json(bus: &BusStats) -> Value {
     let mut counts = Value::obj();
     let mut aborts = Value::obj();
     for kind in BusTxKind::ALL {

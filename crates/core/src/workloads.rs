@@ -9,23 +9,7 @@
 use vmp_obs::json::Value;
 use vmp_types::{Nanos, VirtAddr};
 
-use crate::{Op, OpResult, Program};
-
-/// Fetches a `u64` field from a workload state object.
-fn get_u64(state: &Value, key: &str) -> Option<u64> {
-    state.get(key).and_then(Value::as_u64)
-}
-
-/// Fetches a `u32` field from a workload state object.
-fn get_u32(state: &Value, key: &str) -> Option<u32> {
-    get_u64(state, key).and_then(|v| u32::try_from(v).ok())
-}
-
-/// Fetches a duration field (stored as nanoseconds) from a workload
-/// state object.
-fn get_ns(state: &Value, key: &str) -> Option<Nanos> {
-    get_u64(state, key).map(Nanos::from_ns)
-}
+use crate::{MachineError, Op, OpResult, Program};
 
 /// How a [`LockWorker`] waits for a contended lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,36 +35,11 @@ enum LockState {
     Think,
 }
 
-impl LockState {
-    fn idx(self) -> u64 {
-        match self {
-            LockState::Idle => 0,
-            LockState::TryLock => 1,
-            LockState::AwaitWatchSet => 2,
-            LockState::Waiting => 3,
-            LockState::ReadCounter => 4,
-            LockState::CriticalCompute => 5,
-            LockState::Unlock => 6,
-            LockState::NotifyWaiters => 7,
-            LockState::Think => 8,
-        }
-    }
-
-    fn from_idx(i: u64) -> Option<Self> {
-        Some(match i {
-            0 => LockState::Idle,
-            1 => LockState::TryLock,
-            2 => LockState::AwaitWatchSet,
-            3 => LockState::Waiting,
-            4 => LockState::ReadCounter,
-            5 => LockState::CriticalCompute,
-            6 => LockState::Unlock,
-            7 => LockState::NotifyWaiters,
-            8 => LockState::Think,
-            _ => return None,
-        })
-    }
-}
+names! { LockDiscipline { Spin = "spin", Notify = "notify" } }
+names! { LockState [
+    Idle, TryLock, AwaitWatchSet, Waiting, ReadCounter, CriticalCompute, Unlock, NotifyWaiters,
+    Think,
+] }
 
 /// A worker that repeatedly acquires a lock, increments a shared counter
 /// in its critical section, and releases.
@@ -234,59 +193,10 @@ impl Program for LockWorker {
         }
     }
 
-    fn save_state(&self) -> Option<Value> {
-        Some(
-            Value::obj()
-                .set("type", "lock")
-                .set(
-                    "discipline",
-                    match self.discipline {
-                        LockDiscipline::Spin => "spin",
-                        LockDiscipline::Notify => "notify",
-                    },
-                )
-                .set("lock", self.lock.raw())
-                .set("counter", self.counter.raw())
-                .set("iterations", self.iterations)
-                .set("cs_compute", self.cs_compute.as_ns())
-                .set("think", self.think.as_ns())
-                .set("completed", self.completed)
-                .set("state", self.state.idx())
-                .set("counter_seen", self.counter_seen)
-                .set("contended_attempts", self.contended_attempts),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> bool {
-        if state.get("type").and_then(Value::as_str) != Some("lock") {
-            return false;
-        }
-        let discipline = match self.discipline {
-            LockDiscipline::Spin => "spin",
-            LockDiscipline::Notify => "notify",
-        };
-        if state.get("discipline").and_then(Value::as_str) != Some(discipline)
-            || get_u64(state, "lock") != Some(self.lock.raw())
-            || get_u64(state, "counter") != Some(self.counter.raw())
-            || get_u64(state, "iterations") != Some(self.iterations)
-            || get_ns(state, "cs_compute") != Some(self.cs_compute)
-            || get_ns(state, "think") != Some(self.think)
-        {
-            return false;
-        }
-        let (Some(completed), Some(st), Some(counter_seen), Some(contended)) = (
-            get_u64(state, "completed"),
-            get_u64(state, "state").and_then(LockState::from_idx),
-            get_u32(state, "counter_seen"),
-            get_u64(state, "contended_attempts"),
-        ) else {
-            return false;
-        };
-        self.completed = completed;
-        self.state = st;
-        self.counter_seen = counter_seen;
-        self.contended_attempts = contended;
-        true
+    program_state! {
+        "lock",
+        config [discipline, lock, counter, iterations, cs_compute, think],
+        progress [completed, state, counter_seen, contended_attempts]
     }
 }
 
@@ -331,36 +241,10 @@ impl Program for SweepWorker {
         }
     }
 
-    fn save_state(&self) -> Option<Value> {
-        Some(
-            Value::obj()
-                .set("type", "sweep")
-                .set("base", self.base.raw())
-                .set("words", self.words)
-                .set("stride_bytes", self.stride_bytes)
-                .set("rounds", self.rounds)
-                .set("write", self.write)
-                .set("pos", self.pos)
-                .set("round", self.round),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> bool {
-        if state.get("type").and_then(Value::as_str) != Some("sweep")
-            || get_u64(state, "base") != Some(self.base.raw())
-            || get_u64(state, "words") != Some(self.words)
-            || get_u64(state, "stride_bytes") != Some(self.stride_bytes)
-            || get_u64(state, "rounds") != Some(self.rounds)
-            || state.get("write").and_then(Value::as_bool) != Some(self.write)
-        {
-            return false;
-        }
-        let (Some(pos), Some(round)) = (get_u64(state, "pos"), get_u64(state, "round")) else {
-            return false;
-        };
-        self.pos = pos;
-        self.round = round;
-        true
+    program_state! {
+        "sweep",
+        config [base, words, stride_bytes, rounds, write],
+        progress [pos, round]
     }
 }
 
@@ -477,6 +361,8 @@ enum SenderStage {
     Notify,
 }
 
+names! { SenderStage [Gap, Write, Notify] }
+
 impl MessageSender {
     /// Creates a sender that posts `messages` to `mailbox`, pausing
     /// `gap` between messages (give receivers time to re-arm).
@@ -507,57 +393,11 @@ impl Program for MessageSender {
         }
     }
 
-    fn save_state(&self) -> Option<Value> {
-        Some(
-            Value::obj()
-                .set("type", "msg-sender")
-                .set("mailbox", self.mailbox.raw())
-                .set(
-                    "messages",
-                    Value::Arr(self.messages.iter().map(|&m| Value::from(m)).collect()),
-                )
-                .set("gap", self.gap.as_ns())
-                .set("next", self.next as u64)
-                .set(
-                    "stage",
-                    match self.stage {
-                        SenderStage::Gap => 0u64,
-                        SenderStage::Write => 1,
-                        SenderStage::Notify => 2,
-                    },
-                ),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> bool {
-        if state.get("type").and_then(Value::as_str) != Some("msg-sender")
-            || get_u64(state, "mailbox") != Some(self.mailbox.raw())
-            || get_ns(state, "gap") != Some(self.gap)
-        {
-            return false;
-        }
-        let Some(messages) = state.get("messages").and_then(Value::as_arr) else {
-            return false;
-        };
-        if messages.len() != self.messages.len()
-            || messages.iter().zip(&self.messages).any(|(v, &m)| v.as_u64() != Some(u64::from(m)))
-        {
-            return false;
-        }
-        let (Some(next), Some(stage)) = (get_u64(state, "next"), get_u64(state, "stage")) else {
-            return false;
-        };
-        if next as usize > self.messages.len() {
-            return false;
-        }
-        self.next = next as usize;
-        self.stage = match stage {
-            0 => SenderStage::Gap,
-            1 => SenderStage::Write,
-            2 => SenderStage::Notify,
-            _ => return false,
-        };
-        true
+    program_state! {
+        "msg-sender",
+        config [mailbox, messages, gap],
+        progress [next, stage],
+        valid |s| s.next <= s.messages.len()
     }
 }
 
@@ -585,6 +425,8 @@ enum ReceiverStage {
     Check,
     Clear,
 }
+
+names! { ReceiverStage [Arm, Wait, Fetch, Check, Clear] }
 
 impl MessageReceiver {
     /// Creates a receiver expecting `expect` messages on `mailbox`,
@@ -642,50 +484,7 @@ impl Program for MessageReceiver {
         }
     }
 
-    fn save_state(&self) -> Option<Value> {
-        Some(
-            Value::obj()
-                .set("type", "msg-receiver")
-                .set("mailbox", self.mailbox.raw())
-                .set("ack", self.ack.raw())
-                .set("expect", self.expect as u64)
-                .set("received", self.received)
-                .set(
-                    "stage",
-                    match self.stage {
-                        ReceiverStage::Arm => 0u64,
-                        ReceiverStage::Wait => 1,
-                        ReceiverStage::Fetch => 2,
-                        ReceiverStage::Check => 3,
-                        ReceiverStage::Clear => 4,
-                    },
-                ),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> bool {
-        if state.get("type").and_then(Value::as_str) != Some("msg-receiver")
-            || get_u64(state, "mailbox") != Some(self.mailbox.raw())
-            || get_u64(state, "ack") != Some(self.ack.raw())
-            || get_u64(state, "expect") != Some(self.expect as u64)
-        {
-            return false;
-        }
-        let (Some(received), Some(stage)) = (get_u64(state, "received"), get_u64(state, "stage"))
-        else {
-            return false;
-        };
-        self.received = received;
-        self.stage = match stage {
-            0 => ReceiverStage::Arm,
-            1 => ReceiverStage::Wait,
-            2 => ReceiverStage::Fetch,
-            3 => ReceiverStage::Check,
-            4 => ReceiverStage::Clear,
-            _ => return false,
-        };
-        true
-    }
+    program_state! { "msg-receiver", config [mailbox, ack, expect], progress [received, stage] }
 }
 
 #[cfg(test)]
@@ -768,44 +567,10 @@ enum BarrierState {
     RoundDone,
 }
 
-impl BarrierState {
-    fn idx(self) -> u64 {
-        match self {
-            BarrierState::Work => 0,
-            BarrierState::TryLock => 1,
-            BarrierState::ReadGen => 2,
-            BarrierState::ReadCount => 3,
-            BarrierState::StoreCount => 4,
-            BarrierState::BumpGen => 5,
-            BarrierState::UnlockThenWait => 6,
-            BarrierState::UnlockThenNotify => 7,
-            BarrierState::NotifyAll => 8,
-            BarrierState::Watch => 9,
-            BarrierState::Wait => 10,
-            BarrierState::CheckGen => 11,
-            BarrierState::RoundDone => 12,
-        }
-    }
-
-    fn from_idx(i: u64) -> Option<Self> {
-        Some(match i {
-            0 => BarrierState::Work,
-            1 => BarrierState::TryLock,
-            2 => BarrierState::ReadGen,
-            3 => BarrierState::ReadCount,
-            4 => BarrierState::StoreCount,
-            5 => BarrierState::BumpGen,
-            6 => BarrierState::UnlockThenWait,
-            7 => BarrierState::UnlockThenNotify,
-            8 => BarrierState::NotifyAll,
-            9 => BarrierState::Watch,
-            10 => BarrierState::Wait,
-            11 => BarrierState::CheckGen,
-            12 => BarrierState::RoundDone,
-            _ => return None,
-        })
-    }
-}
+names! { BarrierState [
+    Work, TryLock, ReadGen, ReadCount, StoreCount, BumpGen, UnlockThenWait, UnlockThenNotify,
+    NotifyAll, Watch, Wait, CheckGen, RoundDone,
+] }
 
 impl BarrierWorker {
     /// Creates one worker of an `workers`-wide barrier running `rounds`
@@ -930,47 +695,10 @@ impl Program for BarrierWorker {
         }
     }
 
-    fn save_state(&self) -> Option<Value> {
-        Some(
-            Value::obj()
-                .set("type", "barrier")
-                .set("workers", self.workers)
-                .set("rounds", self.rounds)
-                .set("lock", self.lock.raw())
-                .set("counter", self.counter.raw())
-                .set("barrier", self.barrier.raw())
-                .set("work", self.work.as_ns())
-                .set("round", self.round)
-                .set("my_gen", self.my_gen)
-                .set("pending_count", self.pending_count)
-                .set("state", self.state.idx()),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> bool {
-        if state.get("type").and_then(Value::as_str) != Some("barrier")
-            || get_u32(state, "workers") != Some(self.workers)
-            || get_u64(state, "rounds") != Some(self.rounds)
-            || get_u64(state, "lock") != Some(self.lock.raw())
-            || get_u64(state, "counter") != Some(self.counter.raw())
-            || get_u64(state, "barrier") != Some(self.barrier.raw())
-            || get_ns(state, "work") != Some(self.work)
-        {
-            return false;
-        }
-        let (Some(round), Some(my_gen), Some(pending_count), Some(st)) = (
-            get_u64(state, "round"),
-            get_u32(state, "my_gen"),
-            get_u32(state, "pending_count"),
-            get_u64(state, "state").and_then(BarrierState::from_idx),
-        ) else {
-            return false;
-        };
-        self.round = round;
-        self.my_gen = my_gen;
-        self.pending_count = pending_count;
-        self.state = st;
-        true
+    program_state! {
+        "barrier",
+        config [workers, rounds, lock, counter, barrier, work],
+        progress [round, my_gen, pending_count, state]
     }
 }
 
@@ -1093,6 +821,8 @@ enum ULockState {
     Think,
 }
 
+names! { ULockState [Idle, TryLock, Backoff, ReadCounter, CriticalCompute, Unlock, Think] }
+
 impl UncachedLockWorker {
     /// Creates a worker incrementing `counter` (ordinary cached memory)
     /// under the uncached lock word at `lock`, with a fixed spin backoff.
@@ -1175,59 +905,10 @@ impl Program for UncachedLockWorker {
         }
     }
 
-    fn save_state(&self) -> Option<Value> {
-        Some(
-            Value::obj()
-                .set("type", "uncached-lock")
-                .set("lock", self.lock.raw())
-                .set("counter", self.counter.raw())
-                .set("iterations", self.iterations)
-                .set("cs_compute", self.cs_compute.as_ns())
-                .set("think", self.think.as_ns())
-                .set("backoff", self.backoff.as_ns())
-                .set("completed", self.completed)
-                .set(
-                    "state",
-                    match self.state {
-                        ULockState::Idle => 0u64,
-                        ULockState::TryLock => 1,
-                        ULockState::Backoff => 2,
-                        ULockState::ReadCounter => 3,
-                        ULockState::CriticalCompute => 4,
-                        ULockState::Unlock => 5,
-                        ULockState::Think => 6,
-                    },
-                ),
-        )
-    }
-
-    fn restore_state(&mut self, state: &Value) -> bool {
-        if state.get("type").and_then(Value::as_str) != Some("uncached-lock")
-            || get_u64(state, "lock") != Some(self.lock.raw())
-            || get_u64(state, "counter") != Some(self.counter.raw())
-            || get_u64(state, "iterations") != Some(self.iterations)
-            || get_ns(state, "cs_compute") != Some(self.cs_compute)
-            || get_ns(state, "think") != Some(self.think)
-            || get_ns(state, "backoff") != Some(self.backoff)
-        {
-            return false;
-        }
-        let (Some(completed), Some(stage)) = (get_u64(state, "completed"), get_u64(state, "state"))
-        else {
-            return false;
-        };
-        self.completed = completed;
-        self.state = match stage {
-            0 => ULockState::Idle,
-            1 => ULockState::TryLock,
-            2 => ULockState::Backoff,
-            3 => ULockState::ReadCounter,
-            4 => ULockState::CriticalCompute,
-            5 => ULockState::Unlock,
-            6 => ULockState::Think,
-            _ => return false,
-        };
-        true
+    program_state! {
+        "uncached-lock",
+        config [lock, counter, iterations, cs_compute, think, backoff],
+        progress [completed, state]
     }
 }
 

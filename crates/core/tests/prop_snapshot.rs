@@ -158,14 +158,16 @@ fn uninterrupted(
 }
 
 /// Runs until `cut`, snapshots, round-trips the container through bytes,
-/// resumes into a *fresh* machine, and finishes the run there.
+/// resumes into a *fresh* machine, and finishes the run there. Also
+/// reports whether the resumed machine, snapshotted before it runs,
+/// re-encodes to the very bytes it was decoded from.
 fn interrupted(
     workload: Workload,
     processors: usize,
     faults: Option<u64>,
     obs: bool,
     cut: Nanos,
-) -> (String, Vec<Option<u32>>) {
+) -> (String, Vec<Option<u32>>, bool) {
     let cfg = config(processors, obs);
     let page = cfg.cache.page_size().bytes();
     let mut m = Machine::build(cfg.clone()).unwrap();
@@ -183,16 +185,18 @@ fn interrupted(
         programs(workload, processors, page).into_iter().map(Some).collect();
     let hook = faults.map(|seed| Box::new(fault_hook(seed)) as _);
     let mut m = Machine::resume(cfg, &snap, fresh, hook).unwrap();
+    let reencoded = m.snapshot().unwrap().to_bytes() == snap.to_bytes();
     let report = m.run().unwrap();
     m.validate().unwrap();
-    (report.to_json().to_string(), probe_words(&m))
+    (report.to_json().to_string(), probe_words(&m), reencoded)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Snapshot-at-T then resume is bit-identical to never stopping, for
-    /// every workload × processor count × faults on/off × obs on/off.
+    /// every workload × processor count × faults on/off × obs on/off —
+    /// and the resumed machine re-encodes to the snapshot it came from.
     #[test]
     fn snapshot_resume_is_bit_identical(
         widx in 0usize..WORKLOADS.len(),
@@ -214,6 +218,11 @@ proptest! {
         prop_assert_eq!(
             &reference.1, &resumed.1,
             "resumed memory diverged ({:?}, {} cpus)", workload, processors
+        );
+        prop_assert!(
+            resumed.2,
+            "decode then encode is not the identity ({:?}, {} cpus, faults {:?}, obs {})",
+            workload, processors, faults, obs
         );
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The engine is deliberately minimal: a time-ordered, insertion-stable
 //! [`EventQueue`] plus statistics utilities ([`BusyTracker`], [`Histogram`],
-//! [`RateEstimator`]). The machine model in `vmp-core` defines its own event
+//! [`Log2Histogram`]). The machine model in `vmp-core` defines its own event
 //! enum and owns all component state, which keeps the borrow structure
 //! simple and the simulation perfectly reproducible: identical inputs and
 //! seeds produce identical event orders.
@@ -33,4 +33,4 @@ mod stats;
 
 pub use attention::AttentionClock;
 pub use queue::EventQueue;
-pub use stats::{BusyTracker, Histogram, Log2Histogram, RateEstimator, Summary};
+pub use stats::{BusyTracker, Histogram, Log2Histogram};

@@ -1,7 +1,5 @@
 //! Statistics utilities for simulation runs.
 
-use std::fmt;
-
 use vmp_types::Nanos;
 
 /// Tracks the total time a single-server resource (the VMEbus, a block
@@ -317,70 +315,6 @@ impl Log2Histogram {
     }
 }
 
-/// Online mean/variance estimator for dimensionless rates and ratios
-/// (miss ratios, speedups), using Welford's algorithm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RateEstimator {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RateEstimator {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        RateEstimator { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Returns a snapshot of the accumulated statistics.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            n: self.n,
-            mean: if self.n == 0 { 0.0 } else { self.mean },
-            stddev: if self.n < 2 { 0.0 } else { (self.m2 / (self.n - 1) as f64).sqrt() },
-            min: if self.n == 0 { 0.0 } else { self.min },
-            max: if self.n == 0 { 0.0 } else { self.max },
-        }
-    }
-}
-
-/// Snapshot of a [`RateEstimator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: u64,
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (0 for fewer than two samples).
-    pub stddev: f64,
-    /// Minimum observation (0 when empty).
-    pub min: f64,
-    /// Maximum observation (0 when empty).
-    pub max: f64,
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} sd={:.4} min={:.4} max={:.4}",
-            self.n, self.mean, self.stddev, self.min, self.max
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,28 +399,5 @@ mod tests {
     #[should_panic(expected = "bucket count")]
     fn log2_histogram_rejects_zero_buckets() {
         let _ = Log2Histogram::new(0);
-    }
-
-    #[test]
-    fn rate_estimator_welford() {
-        let mut r = RateEstimator::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            r.record(x);
-        }
-        let s = r.summary();
-        assert_eq!(s.n, 8);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.stddev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-    }
-
-    #[test]
-    fn empty_summary_is_zeroed() {
-        let s = RateEstimator::new().summary();
-        assert_eq!(s.n, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.stddev, 0.0);
-        assert!(!s.to_string().is_empty());
     }
 }

@@ -182,17 +182,6 @@ fn threads_from_env() -> Option<usize> {
     }
 }
 
-/// Convenience: run `jobs` on a default pool (environment-controlled
-/// thread count).
-pub fn run_sweep<T, R, F>(jobs: Vec<SweepJob<T>>, runner: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&SweepJob<T>) -> R + Sync,
-{
-    SweepPool::new().run(jobs, runner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,10 @@
 
 use vmp::faults::{FaultPlan, FaultRates};
 use vmp::machine::workloads::{LockDiscipline, LockWorker, SweepWorker};
-use vmp::machine::{Machine, MachineConfig, MachineSnapshot, Program, WatchdogConfig};
+use vmp::machine::{
+    Machine, MachineConfig, MachineError, MachineSnapshot, Program, WatchdogConfig,
+};
+use vmp::obs::json::Value;
 use vmp::types::{Asid, Nanos, VirtAddr};
 
 fn config() -> MachineConfig {
@@ -138,4 +141,93 @@ fn golden_corpus_loads() {
         assert_eq!(snap.to_bytes(), bytes, "{}: container not byte-stable", path.display());
     }
     assert!(seen >= 6, "golden corpus has shrunk: {seen} snapshots");
+}
+
+/// Replaces the value at a dotted header path (`cpus.0.cache.slots.0.set`;
+/// numeric segments index lists).
+fn set_path(v: &mut Value, path: &str, new: Value) {
+    let mut at = v;
+    for seg in path.split('.') {
+        at = match at {
+            Value::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == seg).expect(path).1,
+            Value::Arr(items) => &mut items[seg.parse::<usize>().expect(path)],
+            _ => panic!("{path}: no such field"),
+        };
+    }
+    *at = new;
+}
+
+/// Every index and length a snapshot header carries is range-checked
+/// against the machine being rebuilt: each doctored copy of a golden
+/// file fails to resume with `SnapshotCorrupt` — never a panic.
+#[test]
+fn hostile_headers_are_rejected_not_panicked() {
+    let bytes = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/golden/chaos-w1.vmpsnap"))
+        .expect("golden file");
+    let header_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+    let blob = &bytes[16 + header_len + 8..];
+    let header = MachineSnapshot::from_bytes(&bytes).unwrap().header().clone();
+    let word = Value::obj().set("kind", 0u64).set("frame", 0u64).set("issuer", 0u64);
+    let dma = |host: u64, data_len: u64, phase: Value, blocked_on: Value| {
+        let data = Value::obj().set("$blob", 0u64).set("len", data_len);
+        let buffer = Value::obj().set("$blob", 0u64).set("len", 0u64);
+        Value::Arr(vec![Value::obj()
+            .set("id", 2u64)
+            .set("host", host)
+            .set("direction", "to_mem")
+            .set("frames", Value::Arr(vec![Value::from(3u64)]))
+            .set("data", data)
+            .set("phase", phase)
+            .set("blocked_on", blocked_on)
+            .set("buffer", buffer)
+            .set("seq", 0u64)])
+    };
+    let setup = |i: u64| Value::obj().set("k", "setup").set("i", i);
+    let cases: Vec<(&str, Value)> = vec![
+        ("cpus.0.cache.slots.0.set", 9999u64.into()),
+        ("cpus.0.cache.slots.0.way", 2u64.into()),
+        ("cpus.0.cache.slots.0.data.len", 64u64.into()),
+        ("cpus.0.cache.slots.0.data.$blob", u64::MAX.into()),
+        ("cpus.0.pending.slot.set", 32u64.into()),
+        ("cpus.0.phys.0.slot.way", 7u64.into()),
+        ("cpus.0.phys.0.frame", 512u64.into()),
+        ("cpus.0.monitor.table.0.frame", (1u64 << 40).into()),
+        ("cpus.0.monitor.table.0.code", 4u64.into()),
+        ("cpus.0.monitor.fifo", Value::Arr(vec![word; 129])),
+        ("cpus.0.asid", 256u64.into()),
+        ("cpus.0.retry_streak", (1u64 << 32).into()),
+        ("cpus.0.miss_latency.width", 0u64.into()),
+        ("cpus.0.state", Value::obj().set("k", "dozing")),
+        ("memory.0.frame", 512u64.into()),
+        ("memory.0.data.len", 3u64.into()),
+        ("kernel.free_list.0", (1u64 << 20).into()),
+        ("queue.entries.0.idx", 2u64.into()),
+        ("dmas", dma(2, 128, setup(0), Value::Null)),
+        ("dmas", dma(0, 128, setup(1), Value::Null)),
+        ("dmas", dma(0, 128, setup(0), 1u64.into())),
+        ("dmas", dma(0, 0, setup(0), Value::Null)),
+    ];
+    let mut config = config();
+    config.processors = 2;
+    for (path, value) in cases {
+        let mut doctored = header.clone();
+        set_path(&mut doctored, path, value);
+        let text = doctored.to_string();
+        let mut file = b"VMPSNAP\x01".to_vec();
+        file.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        file.extend_from_slice(text.as_bytes());
+        file.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+        file.extend_from_slice(blob);
+        let snap = MachineSnapshot::from_bytes(&file).unwrap();
+        let outcome = std::panic::catch_unwind(|| {
+            Machine::resume(config.clone(), &snap, vec![None, None], None).err()
+        });
+        match outcome {
+            Ok(Some(MachineError::SnapshotCorrupt { detail })) => {
+                assert!(detail.starts_with("$."), "{path}: error names no path: {detail}")
+            }
+            Ok(other) => panic!("{path}: expected SnapshotCorrupt, got {other:?}"),
+            Err(_) => panic!("{path}: resume panicked"),
+        }
+    }
 }
