@@ -44,7 +44,6 @@ mod flags;
 mod sim_stats;
 mod tag_array;
 mod tag_cache;
-mod windowed;
 
 pub use classify::{classify_misses, ThreeC};
 pub use config::CacheConfig;
@@ -53,4 +52,3 @@ pub use flags::SlotFlags;
 pub use sim_stats::CacheSimStats;
 pub use tag_array::{SlotId, Tag, TagArray, Victim};
 pub use tag_cache::{AccessOutcome, TagCache};
-pub use windowed::WindowedMissRatio;

@@ -14,7 +14,8 @@
 //! Programs drive the processors through the [`Program`] trait: trace
 //! playback ([`TraceProgram`]), scripted operation lists
 //! ([`ScriptProgram`]), or the synchronization workloads of §5.4
-//! ([`workloads`]). DMA devices ([`DmaDevice`]) transfer through plain
+//! ([`workloads`]); [`scenarios`] names the small machines the tests and
+//! tools build from them. DMA devices ([`DmaDevice`]) transfer through plain
 //! bus transactions under assert-ownership protection, exactly as §3.3
 //! prescribes.
 //!
@@ -53,6 +54,7 @@ mod kernel;
 mod machine;
 mod phys_index;
 mod program;
+pub mod scenarios;
 mod snapshot;
 mod stats;
 mod validate;

@@ -567,7 +567,8 @@ impl Machine {
     /// Returns [`MachineError::SnapshotMismatch`] when the config,
     /// programs or hook do not match the snapshot, and
     /// [`MachineError::SnapshotCorrupt`] for malformed headers — including
-    /// any index or length outside the machine being rebuilt.
+    /// any index or length outside the machine being rebuilt — and for
+    /// decoded states that fail [`Machine::validate`].
     pub fn resume(
         config: MachineConfig,
         snap: &MachineSnapshot,
@@ -616,6 +617,10 @@ impl Machine {
             let what = format!("program state for {}", cpu.id);
             cpu.program = rewind(what, state, program, |p, s| p.restore_state(&s))?;
         }
+        // Every field can be in range and the whole still inconsistent;
+        // such a machine would only fail later, in the periodic audit or
+        // mid-run.
+        m.validate().map_err(|e| corrupt(format!("resumed state violates an invariant: {e}")))?;
         Ok(m)
     }
 }

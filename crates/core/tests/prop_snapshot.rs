@@ -7,130 +7,23 @@
 //! the binary container must round-trip.
 
 use proptest::prelude::*;
-use vmp_core::workloads::{
-    BarrierWorker, LockDiscipline, LockWorker, MessageReceiver, MessageSender, SweepWorker,
-};
-use vmp_core::{
-    Machine, MachineConfig, MachineError, MachineSnapshot, ObsConfig, Program, WatchdogConfig,
-};
+use vmp_core::scenarios::{soak_config, Scenario};
+use vmp_core::{Machine, MachineConfig, MachineError, MachineSnapshot, ObsConfig};
 use vmp_faults::{FaultPlan, FaultRates};
-use vmp_types::{Asid, Nanos, VirtAddr};
+use vmp_types::Nanos;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Workload {
-    SpinLock,
-    NotifyLock,
-    DisjointSweeps,
-    FalseSharing,
-    Messages,
-    Barrier,
-}
-
-const WORKLOADS: [Workload; 6] = [
-    Workload::SpinLock,
-    Workload::NotifyLock,
-    Workload::DisjointSweeps,
-    Workload::FalseSharing,
-    Workload::Messages,
-    Workload::Barrier,
+const WORKLOADS: [Scenario; 6] = [
+    Scenario::SpinLock,
+    Scenario::NotifyLock,
+    Scenario::DisjointSweeps,
+    Scenario::FalseSharing,
+    Scenario::Messages,
+    Scenario::Barrier,
 ];
 
 fn config(processors: usize, obs: bool) -> MachineConfig {
-    let mut config = MachineConfig::small();
-    config.processors = processors;
-    config.validate_each_step = false;
-    config.audit_every = Some(64);
-    config.watchdog = Some(WatchdogConfig::default());
-    config.max_time = Nanos::from_ms(60_000);
-    if obs {
-        config.obs = ObsConfig::on();
-    }
-    config
-}
-
-/// One fresh program instance per processor. Called once to seed the
-/// reference run, once to seed the interrupted run, and once more to
-/// supply `Machine::resume` with rewindable instances.
-fn programs(workload: Workload, processors: usize, page: u64) -> Vec<Box<dyn Program>> {
-    (0..processors)
-        .map(|cpu| -> Box<dyn Program> {
-            match workload {
-                Workload::SpinLock | Workload::NotifyLock => {
-                    let d = if workload == Workload::SpinLock {
-                        LockDiscipline::Spin
-                    } else {
-                        LockDiscipline::Notify
-                    };
-                    Box::new(LockWorker::new(
-                        d,
-                        VirtAddr::new(0x1000),
-                        VirtAddr::new(0x2000),
-                        4,
-                        Nanos::from_us(2),
-                        Nanos::from_us(3),
-                    ))
-                }
-                Workload::DisjointSweeps => Box::new(SweepWorker::new(
-                    VirtAddr::new(0x4000 + cpu as u64 * 4 * page),
-                    page / 4,
-                    4,
-                    3,
-                    true,
-                )),
-                Workload::FalseSharing => Box::new(SweepWorker::new(
-                    VirtAddr::new(0x4000 + cpu as u64 * 4),
-                    page / 16,
-                    16,
-                    3,
-                    true,
-                )),
-                Workload::Messages => {
-                    // CPU 0 sends, CPU 1 receives; extra CPUs sweep
-                    // private pages so every processor count works.
-                    let mailbox = VirtAddr::new(0x1000);
-                    let ack = VirtAddr::new(0x2000);
-                    match cpu {
-                        // A generous gap: the single-word mailbox must be
-                        // consumed before the next message lands.
-                        0 => Box::new(MessageSender::new(
-                            mailbox,
-                            vec![11, 22, 33],
-                            Nanos::from_ms(2),
-                        )),
-                        1 => Box::new(MessageReceiver::new(mailbox, ack, 3)),
-                        _ => Box::new(SweepWorker::new(
-                            VirtAddr::new(0x10000 + cpu as u64 * 4 * page),
-                            page / 4,
-                            4,
-                            2,
-                            true,
-                        )),
-                    }
-                }
-                Workload::Barrier => Box::new(BarrierWorker::new(
-                    processors as u32,
-                    3,
-                    VirtAddr::new(0x1000),
-                    VirtAddr::new(0x2000),
-                    VirtAddr::new(0x3000),
-                    Nanos::from_us(2),
-                )),
-            }
-        })
-        .collect()
-}
-
-fn install(m: &mut Machine, programs: Vec<Box<dyn Program>>) {
-    for (cpu, p) in programs.into_iter().enumerate() {
-        m.set_program_boxed(cpu, p).unwrap();
-    }
-}
-
-fn probe_words(m: &Machine) -> Vec<Option<u32>> {
-    [0x1000u64, 0x2000, 0x3000, 0x4000, 0x4004, 0x40fc, 0x8000, 0x10000]
-        .iter()
-        .map(|&a| m.peek_word(Asid::new(1), VirtAddr::new(a)))
-        .collect()
+    let obs = if obs { ObsConfig::on() } else { ObsConfig::default() };
+    MachineConfig { obs, ..soak_config(processors) }
 }
 
 fn fault_hook(seed: u64) -> FaultPlan {
@@ -140,21 +33,18 @@ fn fault_hook(seed: u64) -> FaultPlan {
 /// Runs the workload start to finish with no interruption and returns
 /// the canonical (report JSON, final probe words) signature.
 fn uninterrupted(
-    workload: Workload,
+    workload: Scenario,
     processors: usize,
     faults: Option<u64>,
     obs: bool,
 ) -> (String, Vec<Option<u32>>) {
-    let cfg = config(processors, obs);
-    let page = cfg.cache.page_size().bytes();
-    let mut m = Machine::build(cfg).unwrap();
-    install(&mut m, programs(workload, processors, page));
+    let mut m = workload.build(config(processors, obs)).unwrap();
     if let Some(seed) = faults {
         m.install_fault_hook(fault_hook(seed));
     }
     let report = m.run().unwrap();
     m.validate().unwrap();
-    (report.to_json().to_string(), probe_words(&m))
+    (report.to_json().to_string(), workload.probe_words(&m))
 }
 
 /// Runs until `cut`, snapshots, round-trips the container through bytes,
@@ -162,16 +52,14 @@ fn uninterrupted(
 /// reports whether the resumed machine, snapshotted before it runs,
 /// re-encodes to the very bytes it was decoded from.
 fn interrupted(
-    workload: Workload,
+    workload: Scenario,
     processors: usize,
     faults: Option<u64>,
     obs: bool,
     cut: Nanos,
 ) -> (String, Vec<Option<u32>>, bool) {
     let cfg = config(processors, obs);
-    let page = cfg.cache.page_size().bytes();
-    let mut m = Machine::build(cfg.clone()).unwrap();
-    install(&mut m, programs(workload, processors, page));
+    let mut m = workload.build(cfg.clone()).unwrap();
     if let Some(seed) = faults {
         m.install_fault_hook(fault_hook(seed));
     }
@@ -181,14 +69,12 @@ fn interrupted(
 
     // The container must round-trip byte-exactly.
     let snap = MachineSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-    let fresh: Vec<Option<Box<dyn Program>>> =
-        programs(workload, processors, page).into_iter().map(Some).collect();
     let hook = faults.map(|seed| Box::new(fault_hook(seed)) as _);
-    let mut m = Machine::resume(cfg, &snap, fresh, hook).unwrap();
+    let mut m = workload.resume(cfg, &snap, hook).unwrap();
     let reencoded = m.snapshot().unwrap().to_bytes() == snap.to_bytes();
     let report = m.run().unwrap();
     m.validate().unwrap();
-    (report.to_json().to_string(), probe_words(&m), reencoded)
+    (report.to_json().to_string(), workload.probe_words(&m), reencoded)
 }
 
 proptest! {
@@ -207,7 +93,7 @@ proptest! {
     ) {
         let workload = WORKLOADS[widx];
         // Messages/Barrier need at least the participating CPUs.
-        let processors = if workload == Workload::Messages { processors.max(2) } else { processors };
+        let processors = if workload == Scenario::Messages { processors.max(2) } else { processors };
         let reference = uninterrupted(workload, processors, faults, obs);
         let resumed = interrupted(workload, processors, faults, obs, Nanos::from_us(cut_us));
         prop_assert_eq!(
@@ -236,10 +122,7 @@ proptest! {
     ) {
         let workload = WORKLOADS[widx];
         let take = || {
-            let cfg = config(2, false);
-            let page = cfg.cache.page_size().bytes();
-            let mut m = Machine::build(cfg).unwrap();
-            install(&mut m, programs(workload, 2, page));
+            let mut m = workload.build(config(2, false)).unwrap();
             m.install_fault_hook(fault_hook(seed));
             m.run_until(Nanos::from_us(cut_us)).unwrap();
             m.snapshot().unwrap().to_bytes()
@@ -252,55 +135,43 @@ proptest! {
 /// resuming that must still land bit-identical — checkpoints compose.
 #[test]
 fn chained_snapshots_compose() {
-    let workload = Workload::NotifyLock;
+    let workload = Scenario::NotifyLock;
     let cfg = config(4, false);
-    let page = cfg.cache.page_size().bytes();
     let reference = uninterrupted(workload, 4, Some(5), false);
 
-    let mut m = Machine::build(cfg.clone()).unwrap();
-    install(&mut m, programs(workload, 4, page));
+    let mut m = workload.build(cfg.clone()).unwrap();
     m.install_fault_hook(fault_hook(5));
     m.run_until(Nanos::from_us(40)).unwrap();
     let snap1 = m.snapshot().unwrap();
 
-    let fresh: Vec<Option<Box<dyn Program>>> =
-        programs(workload, 4, page).into_iter().map(Some).collect();
-    let mut m = Machine::resume(cfg.clone(), &snap1, fresh, Some(Box::new(fault_hook(5)))).unwrap();
+    let mut m = workload.resume(cfg.clone(), &snap1, Some(Box::new(fault_hook(5)))).unwrap();
     m.run_until(Nanos::from_us(160)).unwrap();
     let snap2 = m.snapshot().unwrap();
 
-    let fresh: Vec<Option<Box<dyn Program>>> =
-        programs(workload, 4, page).into_iter().map(Some).collect();
-    let mut m = Machine::resume(cfg, &snap2, fresh, Some(Box::new(fault_hook(5)))).unwrap();
+    let mut m = workload.resume(cfg, &snap2, Some(Box::new(fault_hook(5)))).unwrap();
     let report = m.run().unwrap();
     m.validate().unwrap();
     assert_eq!(reference.0, report.to_json().to_string());
-    assert_eq!(reference.1, probe_words(&m));
+    assert_eq!(reference.1, workload.probe_words(&m));
 }
 
 /// Mismatched geometry, missing programs and missing hooks are rejected
 /// loudly, never silently absorbed.
 #[test]
 fn resume_rejects_mismatches() {
+    let workload = Scenario::SpinLock;
     let cfg = config(2, false);
-    let page = cfg.cache.page_size().bytes();
-    let mut m = Machine::build(cfg.clone()).unwrap();
-    install(&mut m, programs(Workload::SpinLock, 2, page));
+    let mut m = workload.build(cfg.clone()).unwrap();
     m.install_fault_hook(fault_hook(1));
     m.run_until(Nanos::from_us(50)).unwrap();
     let snap = m.snapshot().unwrap();
 
     // Wrong processor count.
-    let bad = config(4, false);
-    let fresh: Vec<Option<Box<dyn Program>>> =
-        programs(Workload::SpinLock, 4, page).into_iter().map(Some).collect();
-    let err = Machine::resume(bad, &snap, fresh, Some(Box::new(fault_hook(1)))).unwrap_err();
+    let err = workload.resume(config(4, false), &snap, Some(Box::new(fault_hook(1)))).unwrap_err();
     assert!(matches!(err, MachineError::SnapshotMismatch { .. }), "{err}");
 
     // Missing fault hook.
-    let fresh: Vec<Option<Box<dyn Program>>> =
-        programs(Workload::SpinLock, 2, page).into_iter().map(Some).collect();
-    let err = Machine::resume(cfg.clone(), &snap, fresh, None).unwrap_err();
+    let err = workload.resume(cfg.clone(), &snap, None).unwrap_err();
     assert!(matches!(err, MachineError::SnapshotMismatch { .. }), "{err}");
 
     // Missing programs.
@@ -313,10 +184,7 @@ fn resume_rejects_mismatches() {
 /// field rather than just saying "different".
 #[test]
 fn corruption_is_detected_and_diff_pinpoints() {
-    let cfg = config(2, false);
-    let page = cfg.cache.page_size().bytes();
-    let mut m = Machine::build(cfg).unwrap();
-    install(&mut m, programs(Workload::FalseSharing, 2, page));
+    let mut m = Scenario::FalseSharing.build(config(2, false)).unwrap();
     m.run_until(Nanos::from_us(80)).unwrap();
     let snap = m.snapshot().unwrap();
     let bytes = snap.to_bytes();

@@ -1,6 +1,5 @@
-//! Windowed time-series of busy time, generalizing the cache layer's
-//! `WindowedMissRatio` to whole-machine quantities (bus utilization,
-//! per-processor useful/stall fractions).
+//! Windowed time-series of busy time over whole-machine quantities (bus
+//! utilization, per-processor useful/stall fractions).
 
 use vmp_types::Nanos;
 

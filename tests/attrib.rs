@@ -4,51 +4,22 @@
 //! must embed a consistent attribution section, and the cross-run
 //! compare gate must pass on identical runs and fail on regressions.
 
-use vmp::machine::workloads::{LockDiscipline, LockWorker, SweepWorker};
+use vmp::machine::scenarios::{observed_config, Scenario};
 use vmp::machine::{Machine, MachineConfig, ObsConfig};
 use vmp::obs::compare::{compare_metrics, CompareThresholds};
 use vmp::obs::json::parse;
 use vmp::obs::{metrics_json, SharingVerdict, TxClass};
-use vmp::types::{Nanos, VirtAddr, VirtPageNum};
+use vmp::types::VirtPageNum;
 
 /// Four processors: two fighting over a spin lock, two false-sharing a
 /// pair of pages (one writer per interleaved word).
-fn contended_machine(obs: ObsConfig) -> Machine {
-    let mut config = MachineConfig::small();
-    config.processors = 4;
-    config.validate_each_step = false;
-    config.max_time = Nanos::from_ms(60_000);
-    config.obs = obs;
-    let page = config.cache.page_size().bytes();
-    let mut m = Machine::build(config).unwrap();
-    for cpu in 0..2 {
-        m.set_program(
-            cpu,
-            LockWorker::new(
-                LockDiscipline::Spin,
-                VirtAddr::new(0x1000),
-                VirtAddr::new(0x2000),
-                16,
-                Nanos::from_us(2),
-                Nanos::from_us(3),
-            ),
-        )
-        .unwrap();
-    }
-    for cpu in 2..4 {
-        let offset = 4 * (cpu as u64 - 2);
-        m.set_program(
-            cpu,
-            SweepWorker::new(VirtAddr::new(0x4000 + offset), 2 * page / 8, 8, 3, true),
-        )
-        .unwrap();
-    }
-    m
+fn contended(obs: ObsConfig) -> Machine {
+    Scenario::Contended.build(MachineConfig { obs, ..observed_config(4) }).unwrap()
 }
 
 #[test]
 fn lock_page_is_the_top_hot_page_with_a_ping_pong_verdict() {
-    let mut m = contended_machine(ObsConfig::with_attrib());
+    let mut m = contended(ObsConfig::with_attrib());
     let page_bytes = m.page_size().bytes();
     m.run().unwrap();
     let attrib = m.obs().and_then(|o| o.attrib()).expect("attribution is enabled");
@@ -82,7 +53,7 @@ fn lock_page_is_the_top_hot_page_with_a_ping_pong_verdict() {
 
 #[test]
 fn attribution_counts_reconcile_with_the_bus() {
-    let mut m = contended_machine(ObsConfig::with_attrib());
+    let mut m = contended(ObsConfig::with_attrib());
     let report = m.run().unwrap();
     let attrib = m.obs().and_then(|o| o.attrib()).expect("attribution is enabled");
     for class in TxClass::ALL {
@@ -100,7 +71,7 @@ fn attribution_counts_reconcile_with_the_bus() {
 
 #[test]
 fn metrics_document_embeds_attribution() {
-    let mut m = contended_machine(ObsConfig::with_attrib());
+    let mut m = contended(ObsConfig::with_attrib());
     let report = m.run().unwrap();
     let obs = m.obs().expect("recording is enabled");
     let attrib = obs.attrib().unwrap();
@@ -126,7 +97,7 @@ fn metrics_document_embeds_attribution() {
     }
 
     // A recording-only run embeds no attribution section.
-    let mut plain = contended_machine(ObsConfig::on());
+    let mut plain = contended(ObsConfig::on());
     let report = plain.run().unwrap();
     let doc = parse(&metrics_json(plain.obs().unwrap(), report.elapsed).to_string()).unwrap();
     assert!(doc.get("attrib").is_none());
@@ -135,7 +106,7 @@ fn metrics_document_embeds_attribution() {
 #[test]
 fn compare_gate_passes_identical_runs_and_fails_regressions() {
     let doc_of = || {
-        let mut m = contended_machine(ObsConfig::with_attrib());
+        let mut m = contended(ObsConfig::with_attrib());
         let report = m.run().unwrap();
         let text = metrics_json(m.obs().unwrap(), report.elapsed).set("report", report.to_json());
         parse(&text.to_string()).unwrap()
@@ -182,7 +153,7 @@ fn compare_gate_passes_identical_runs_and_fails_regressions() {
 #[test]
 fn attribution_is_transparent_to_the_run() {
     let run = |obs: ObsConfig| {
-        let mut m = contended_machine(obs);
+        let mut m = contended(obs);
         let report = m.run().unwrap();
         m.validate().unwrap();
         (

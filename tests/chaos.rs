@@ -11,104 +11,25 @@
 //! plan must, conversely, demonstrably trip the watchdog.
 
 use vmp::faults::{FaultPlan, FaultRates};
-use vmp::machine::workloads::{LockDiscipline, LockWorker, SweepWorker};
-use vmp::machine::{Machine, MachineConfig, MachineError, WatchdogConfig, WatchdogViolation};
-use vmp::types::{Asid, Nanos, VirtAddr};
+use vmp::machine::scenarios::{observed_config, soak_config, Scenario};
+use vmp::machine::{Machine, MachineConfig, MachineError, WatchdogViolation};
+use vmp::types::Nanos;
 use vmp_sweep::{SweepJob, SweepPool};
 
 /// Seeded fault plans per workload (the soak sweeps seeds `0..PLANS`).
 const PLANS: u64 = 200;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Workload {
-    /// Two CPUs writing fully disjoint page ranges: no sharing at all.
-    DisjointSweeps,
-    /// Two CPUs spinning on a test-and-set lock around a shared counter.
-    SpinLock,
-    /// The same counter under §5.4 notification locks (parks + notifies).
-    NotifyLock,
-    /// Two CPUs writing disjoint words of the *same* pages: pure false
-    /// sharing, one writer per word, maximal ownership ping-pong.
-    FalseSharing,
-}
-
-const WORKLOADS: [Workload; 4] =
-    [Workload::DisjointSweeps, Workload::SpinLock, Workload::NotifyLock, Workload::FalseSharing];
-
-fn build_machine(workload: Workload) -> Machine {
-    let mut config = MachineConfig::small();
-    // Per-step validation would dominate the soak; the periodic audit
-    // and the final validate() carry the invariant checking instead.
-    config.validate_each_step = false;
-    config.audit_every = Some(64);
-    config.watchdog = Some(WatchdogConfig::default());
-    config.max_time = Nanos::from_ms(60_000);
-    let page = config.cache.page_size().bytes();
-    let mut m = Machine::build(config).unwrap();
-    match workload {
-        Workload::DisjointSweeps => {
-            m.set_program(0, SweepWorker::new(VirtAddr::new(0x4000), 2 * page / 4, 4, 3, true))
-                .unwrap();
-            m.set_program(1, SweepWorker::new(VirtAddr::new(0x8000), 2 * page / 4, 4, 3, true))
-                .unwrap();
-        }
-        Workload::SpinLock | Workload::NotifyLock => {
-            let discipline = if workload == Workload::SpinLock {
-                LockDiscipline::Spin
-            } else {
-                LockDiscipline::Notify
-            };
-            for cpu in 0..2 {
-                m.set_program(
-                    cpu,
-                    LockWorker::new(
-                        discipline,
-                        VirtAddr::new(0x1000),
-                        VirtAddr::new(0x2000),
-                        8,
-                        Nanos::from_us(2),
-                        Nanos::from_us(3),
-                    ),
-                )
-                .unwrap();
-            }
-        }
-        Workload::FalseSharing => {
-            m.set_program(0, SweepWorker::new(VirtAddr::new(0x4000), 2 * page / 8, 8, 3, true))
-                .unwrap();
-            m.set_program(1, SweepWorker::new(VirtAddr::new(0x4004), 2 * page / 8, 8, 3, true))
-                .unwrap();
-        }
-    }
-    m
-}
-
-/// Words whose final value must be schedule- and fault-independent.
-fn probes(workload: Workload) -> Vec<VirtAddr> {
-    match workload {
-        Workload::DisjointSweeps => [0x4000u64, 0x4034, 0x40fc, 0x8000, 0x8034, 0x80fc]
-            .iter()
-            .map(|&a| VirtAddr::new(a))
-            .collect(),
-        Workload::SpinLock | Workload::NotifyLock => {
-            vec![VirtAddr::new(0x1000), VirtAddr::new(0x2000)]
-        }
-        Workload::FalseSharing => [0x4000u64, 0x4004, 0x4040, 0x4044, 0x40f8, 0x40fc]
-            .iter()
-            .map(|&a| VirtAddr::new(a))
-            .collect(),
-    }
-}
-
-fn final_probe_words(m: &Machine, workload: Workload) -> Vec<Option<u32>> {
-    probes(workload).iter().map(|&va| m.peek_word(Asid::new(1), va)).collect()
+/// Every chaos workload has schedule-independent final state: its
+/// oracle words are what a faulted run must end with.
+fn build_machine(workload: Scenario) -> Machine {
+    workload.build(soak_config(2)).unwrap()
 }
 
 /// Outcome of one faulted run, compared against the oracle on the main
 /// thread so failures name their seed.
 struct Outcome {
     seed: u64,
-    workload: Workload,
+    workload: Scenario,
     error: Option<String>,
     validate: Result<(), String>,
     probes: Vec<Option<u32>>,
@@ -117,7 +38,7 @@ struct Outcome {
     fifo_recoveries: u64,
 }
 
-fn run_faulted(workload: Workload, seed: u64) -> Outcome {
+fn run_faulted(workload: Scenario, seed: u64) -> Outcome {
     let rates = if seed.is_multiple_of(2) { FaultRates::light() } else { FaultRates::heavy() };
     let mut m = build_machine(workload);
     m.install_fault_hook(FaultPlan::new(seed, rates));
@@ -131,7 +52,7 @@ fn run_faulted(workload: Workload, seed: u64) -> Outcome {
         workload,
         error,
         validate: m.validate(),
-        probes: final_probe_words(&m, workload),
+        probes: workload.probe_words(&m),
         faults_total: stats.total(),
         dropped_words: stats.dropped_words,
         fifo_recoveries: (0..m.processors()).map(|c| m.cpu_stats(c).fifo_recoveries).sum(),
@@ -142,24 +63,27 @@ fn run_faulted(workload: Workload, seed: u64) -> Outcome {
 fn chaos_soak_faults_cost_time_never_correctness() {
     // Zero-fault oracle per workload: the final probe words every
     // faulted run must reproduce.
-    let oracle: Vec<(Workload, Vec<Option<u32>>)> = WORKLOADS
+    let oracle: Vec<(Scenario, Vec<Option<u32>>)> = Scenario::CHAOS
         .iter()
         .map(|&w| {
             let mut m = build_machine(w);
             m.run().unwrap_or_else(|e| panic!("oracle run {w:?} failed: {e}"));
             m.validate().unwrap();
             assert_eq!(m.fault_stats().total(), 0, "oracle runs inject nothing");
-            (w, final_probe_words(&m, w))
+            let words = w.probe_words(&m);
+            // The reference run lands on the words the catalogue derives.
+            assert_eq!(words, w.expected(2, m.page_size().bytes()), "{w:?} reference");
+            (w, words)
         })
         .collect();
     // Sanity: the lock oracles really counted 2 workers × 8 sections.
     for (w, words) in &oracle {
-        if matches!(w, Workload::SpinLock | Workload::NotifyLock) {
+        if matches!(w, Scenario::SpinLock | Scenario::NotifyLock) {
             assert_eq!(words[1], Some(16), "{w:?} counter");
         }
     }
 
-    let jobs: Vec<SweepJob<(Workload, u64)>> = WORKLOADS
+    let jobs: Vec<SweepJob<(Scenario, u64)>> = Scenario::CHAOS
         .iter()
         .flat_map(|&w| {
             (0..PLANS).map(move |seed| SweepJob::new(format!("{w:?}/{seed}"), (w, seed)))
@@ -191,7 +115,7 @@ fn same_seed_same_faulted_run() {
     // Determinism under faults: identical seed + workload → identical
     // elapsed time, stats and fault accounting.
     let run = || {
-        let mut m = build_machine(Workload::FalseSharing);
+        let mut m = build_machine(Scenario::FalseSharing);
         m.install_fault_hook(FaultPlan::new(17, FaultRates::heavy()));
         let report = m.run().unwrap();
         (report.elapsed, report.processors, *m.fault_stats())
@@ -202,12 +126,12 @@ fn same_seed_same_faulted_run() {
 #[test]
 fn placebo_plan_is_bit_identical_to_no_hook() {
     let bare = {
-        let mut m = build_machine(Workload::SpinLock);
+        let mut m = build_machine(Scenario::SpinLock);
         let report = m.run().unwrap();
         (report.elapsed, report.processors)
     };
     let placebo = {
-        let mut m = build_machine(Workload::SpinLock);
+        let mut m = build_machine(Scenario::SpinLock);
         m.install_fault_hook(FaultPlan::new(99, FaultRates::none()));
         let report = m.run().unwrap();
         assert_eq!(m.fault_stats().total(), 0);
@@ -221,7 +145,7 @@ fn broken_plan_trips_the_watchdog() {
     // Recovery disabled by construction: every retryable transaction
     // aborts forever, so no retry can ever converge. The machine must
     // not spin silently — the watchdog has to call it.
-    let mut m = build_machine(Workload::SpinLock);
+    let mut m = build_machine(Scenario::SpinLock);
     m.install_fault_hook(FaultPlan::broken(0));
     match m.run() {
         Err(MachineError::Watchdog(WatchdogViolation::RetryStreak { streak, limit, .. })) => {
@@ -236,22 +160,8 @@ fn broken_plan_without_watchdog_hits_the_time_limit() {
     // The watchdog is opt-in: without it the same hostile plan just
     // burns simulated time until max_time — no panic, no livelock of
     // the host (every retry advances the clock).
-    let mut config = MachineConfig::small();
-    config.validate_each_step = false;
-    config.max_time = Nanos::from_ms(5);
-    let mut m = Machine::build(config).unwrap();
-    m.set_program(
-        0,
-        LockWorker::new(
-            LockDiscipline::Spin,
-            VirtAddr::new(0x1000),
-            VirtAddr::new(0x2000),
-            1,
-            Nanos::from_us(1),
-            Nanos::ZERO,
-        ),
-    )
-    .unwrap();
+    let config = MachineConfig { max_time: Nanos::from_ms(5), ..observed_config(2) };
+    let mut m = Scenario::SpinLock.build(config).unwrap();
     m.install_fault_hook(FaultPlan::broken(1));
     match m.run() {
         Err(MachineError::TimeLimit { .. }) => {}

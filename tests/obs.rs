@@ -3,50 +3,20 @@
 //! schema-stable metrics document, wrapped rings must count their
 //! drops, and enabling recording must not move a single statistic.
 
-use vmp::machine::workloads::{LockDiscipline, LockWorker, SweepWorker};
+use vmp::machine::scenarios::{observed_config, Scenario};
 use vmp::machine::{Machine, MachineConfig, ObsConfig};
 use vmp::obs::json::{parse, Value};
 use vmp::obs::{chrome_trace, metrics_json};
-use vmp::types::{Nanos, VirtAddr};
 
 /// Four processors: two fighting over a spin lock, two false-sharing a
 /// pair of pages — every event class shows up on the recorded tracks.
-fn contended_machine(obs: ObsConfig) -> Machine {
-    let mut config = MachineConfig::small();
-    config.processors = 4;
-    config.validate_each_step = false;
-    config.max_time = Nanos::from_ms(60_000);
-    config.obs = obs;
-    let page = config.cache.page_size().bytes();
-    let mut m = Machine::build(config).unwrap();
-    for cpu in 0..2 {
-        m.set_program(
-            cpu,
-            LockWorker::new(
-                LockDiscipline::Spin,
-                VirtAddr::new(0x1000),
-                VirtAddr::new(0x2000),
-                12,
-                Nanos::from_us(2),
-                Nanos::from_us(3),
-            ),
-        )
-        .unwrap();
-    }
-    for cpu in 2..4 {
-        let offset = 4 * (cpu as u64 - 2);
-        m.set_program(
-            cpu,
-            SweepWorker::new(VirtAddr::new(0x4000 + offset), 2 * page / 8, 8, 3, true),
-        )
-        .unwrap();
-    }
-    m
+fn contended(obs: ObsConfig) -> Machine {
+    Scenario::Contended.build(MachineConfig { obs, ..observed_config(4) }).unwrap()
 }
 
 #[test]
 fn timeline_is_a_valid_chrome_trace() {
-    let mut m = contended_machine(ObsConfig::on());
+    let mut m = contended(ObsConfig::on());
     m.run().unwrap();
     let obs = m.obs().expect("recording is enabled");
     let doc = parse(&chrome_trace(obs).to_string()).expect("timeline must be valid JSON");
@@ -91,7 +61,7 @@ fn timeline_is_a_valid_chrome_trace() {
 
 #[test]
 fn metrics_document_is_schema_stable() {
-    let mut m = contended_machine(ObsConfig::on());
+    let mut m = contended(ObsConfig::on());
     let report = m.run().unwrap();
     let obs = m.obs().expect("recording is enabled");
     let text = metrics_json(obs, report.elapsed).set("report", report.to_json()).to_string();
@@ -120,7 +90,7 @@ fn metrics_document_is_schema_stable() {
 #[test]
 fn tiny_rings_wrap_and_count_drops() {
     let obs_config = ObsConfig { ring_capacity: 16, ..ObsConfig::on() };
-    let mut m = contended_machine(obs_config);
+    let mut m = contended(obs_config);
     m.run().unwrap();
     let obs = m.obs().expect("recording is enabled");
     assert!(obs.total_dropped() > 0, "a 16-event ring must wrap on this workload");
@@ -139,7 +109,7 @@ fn tiny_rings_wrap_and_count_drops() {
 #[test]
 fn recording_is_transparent_to_the_run() {
     let run = |obs: ObsConfig| {
-        let mut m = contended_machine(obs);
+        let mut m = contended(obs);
         let report = m.run().unwrap();
         m.validate().unwrap();
         (

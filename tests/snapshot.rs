@@ -4,60 +4,24 @@
 //! and the committed golden corpus must stay loadable and resumable.
 
 use vmp::faults::{FaultPlan, FaultRates};
-use vmp::machine::workloads::{LockDiscipline, LockWorker, SweepWorker};
-use vmp::machine::{
-    Machine, MachineConfig, MachineError, MachineSnapshot, Program, WatchdogConfig,
-};
+use vmp::machine::scenarios::{soak_config, Scenario};
+use vmp::machine::{Machine, MachineError, MachineSnapshot};
 use vmp::obs::json::Value;
-use vmp::types::{Asid, Nanos, VirtAddr};
+use vmp::types::Nanos;
 
-fn config() -> MachineConfig {
-    let mut config = MachineConfig::small();
-    config.validate_each_step = false;
-    config.audit_every = Some(64);
-    config.watchdog = Some(WatchdogConfig::default());
-    config.max_time = Nanos::from_ms(60_000);
-    config
+/// Two spin-lock fighters plus two false-sharing sweepers: every
+/// consistency-protocol path stays hot.
+const MIX: Scenario = Scenario::Contended;
+
+/// The heavy fault plan the mid-flight tests run under.
+fn faults() -> FaultPlan {
+    FaultPlan::new(21, FaultRates::heavy())
 }
 
-/// Fresh programs for the contended mix: two spin-lock fighters plus two
-/// false-sharing sweepers — every consistency-protocol path stays hot.
-fn programs(page: u64) -> Vec<Box<dyn Program>> {
-    let mut out: Vec<Box<dyn Program>> = Vec::new();
-    for _ in 0..2 {
-        out.push(Box::new(LockWorker::new(
-            LockDiscipline::Spin,
-            VirtAddr::new(0x1000),
-            VirtAddr::new(0x2000),
-            8,
-            Nanos::from_us(2),
-            Nanos::from_us(3),
-        )));
-    }
-    out.push(Box::new(SweepWorker::new(VirtAddr::new(0x4000), 2 * page / 8, 8, 3, true)));
-    out.push(Box::new(SweepWorker::new(VirtAddr::new(0x4004), 2 * page / 8, 8, 3, true)));
-    out
-}
-
-fn build(faulted: bool) -> Machine {
-    let mut config = config();
-    config.processors = 4;
-    let page = config.cache.page_size().bytes();
-    let mut m = Machine::build(config).unwrap();
-    for (cpu, p) in programs(page).into_iter().enumerate() {
-        m.set_program_boxed(cpu, p).unwrap();
-    }
-    if faulted {
-        m.install_fault_hook(FaultPlan::new(21, FaultRates::heavy()));
-    }
+fn faulted_mix() -> Machine {
+    let mut m = MIX.build(soak_config(4)).unwrap();
+    m.install_fault_hook(faults());
     m
-}
-
-fn probes(m: &Machine) -> Vec<Option<u32>> {
-    [0x1000u64, 0x2000, 0x4000, 0x4004, 0x4040, 0x4044, 0x40f8, 0x40fc]
-        .iter()
-        .map(|&a| m.peek_word(Asid::new(1), VirtAddr::new(a)))
-        .collect()
 }
 
 /// The tentpole contract, end to end under heavy injected faults: run
@@ -67,18 +31,19 @@ fn probes(m: &Machine) -> Vec<Option<u32>> {
 #[test]
 fn mid_flight_snapshot_under_faults_resumes_exactly() {
     // The uninterrupted faulted run is the reference…
-    let mut reference = build(true);
+    let mut reference = faulted_mix();
     let want_report = reference.run().unwrap();
     reference.validate().unwrap();
-    let want_probes = probes(&reference);
+    let want_probes = MIX.probe_words(&reference);
 
     // …and the zero-fault oracle pins the memory words themselves.
-    let mut oracle = build(false);
+    let mut oracle = MIX.build(soak_config(4)).unwrap();
     oracle.run().unwrap();
-    assert_eq!(probes(&oracle), want_probes, "faults must never change final memory");
+    assert_eq!(MIX.probe_words(&oracle), want_probes, "faults must never change final memory");
+    assert_eq!(want_probes, MIX.expected(4, oracle.page_size().bytes()), "catalogue oracle");
 
     // Interrupt the same faulted run mid-flight.
-    let mut m = build(true);
+    let mut m = faulted_mix();
     m.run_until(Nanos::from_us(want_report.elapsed.as_ns() / 2000)).unwrap();
     let snap = m.snapshot().unwrap();
     assert!(m.fault_stats().total() > 0, "the cut must land with faults already injected");
@@ -86,12 +51,7 @@ fn mid_flight_snapshot_under_faults_resumes_exactly() {
 
     // Resume from the serialized bytes in a brand-new machine.
     let snap = MachineSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-    let mut cfg = config();
-    cfg.processors = 4;
-    let page = cfg.cache.page_size().bytes();
-    let fresh = programs(page).into_iter().map(Some).collect();
-    let hook = Some(Box::new(FaultPlan::new(21, FaultRates::heavy())) as _);
-    let mut m = Machine::resume(cfg, &snap, fresh, hook).unwrap();
+    let mut m = MIX.resume(soak_config(4), &snap, Some(Box::new(faults()))).unwrap();
     let report = m.run().unwrap();
     m.validate().unwrap();
 
@@ -100,14 +60,14 @@ fn mid_flight_snapshot_under_faults_resumes_exactly() {
         want_report.to_json().to_string(),
         "resumed report must be bit-identical to the uninterrupted run"
     );
-    assert_eq!(probes(&m), want_probes, "resumed memory must match the oracle");
+    assert_eq!(MIX.probe_words(&m), want_probes, "resumed memory must match the oracle");
 }
 
 /// A doctored snapshot is distinguishable and `diff` names the field —
 /// the debugging loop the `state-diff` subcommand exposes.
 #[test]
 fn diff_pinpoints_doctored_state() {
-    let mut m = build(true);
+    let mut m = faulted_mix();
     m.run_until(Nanos::from_us(300)).unwrap();
     let a = m.snapshot().unwrap();
     m.run_until(Nanos::from_us(600)).unwrap();
@@ -158,8 +118,9 @@ fn set_path(v: &mut Value, path: &str, new: Value) {
 }
 
 /// Every index and length a snapshot header carries is range-checked
-/// against the machine being rebuilt: each doctored copy of a golden
-/// file fails to resume with `SnapshotCorrupt` — never a panic.
+/// against the machine being rebuilt, and the rebuilt machine must pass
+/// `validate()`: each doctored copy of a golden file fails to resume
+/// with `SnapshotCorrupt` — never a panic.
 #[test]
 fn hostile_headers_are_rejected_not_panicked() {
     let bytes = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/golden/chaos-w1.vmpsnap"))
@@ -207,9 +168,21 @@ fn hostile_headers_are_rejected_not_panicked() {
         ("dmas", dma(0, 128, setup(0), 1u64.into())),
         ("dmas", dma(0, 0, setup(0), Value::Null)),
     ];
-    let mut config = config();
-    config.processors = 2;
-    for (path, value) in cases {
+    // Decodable headers whose machine is inconsistent: a frame number
+    // that disagrees with the cached tag, an action code that disagrees
+    // with the slot's ownership, and impossible slot flag sets.
+    let inconsistent: Vec<(&str, Value)> = vec![
+        ("cpus.0.phys.0.frame", 1u64.into()),
+        ("cpus.0.phys.0.frame", 5u64.into()),
+        ("cpus.0.monitor.table.0.code", 0u64.into()),
+        ("cpus.0.monitor.table.0.code", 2u64.into()),
+        ("cpus.0.cache.slots.0.flags", 2u64.into()),
+        ("cpus.0.cache.slots.0.flags", 3u64.into()),
+        ("cpus.0.cache.slots.0.flags", 6u64.into()),
+    ];
+    let tagged = cases.into_iter().map(|c| (c, true));
+    for ((path, value), decode_error) in tagged.chain(inconsistent.into_iter().map(|c| (c, false)))
+    {
         let mut doctored = header.clone();
         set_path(&mut doctored, path, value);
         let text = doctored.to_string();
@@ -219,13 +192,18 @@ fn hostile_headers_are_rejected_not_panicked() {
         file.extend_from_slice(&(blob.len() as u64).to_le_bytes());
         file.extend_from_slice(blob);
         let snap = MachineSnapshot::from_bytes(&file).unwrap();
+        // The golden file is chaos workload 1, unfaulted.
         let outcome = std::panic::catch_unwind(|| {
-            Machine::resume(config.clone(), &snap, vec![None, None], None).err()
+            Scenario::CHAOS[1].resume(soak_config(2), &snap, None).err()
         });
         match outcome {
-            Ok(Some(MachineError::SnapshotCorrupt { detail })) => {
+            Ok(Some(MachineError::SnapshotCorrupt { detail })) if decode_error => {
                 assert!(detail.starts_with("$."), "{path}: error names no path: {detail}")
             }
+            Ok(Some(MachineError::SnapshotCorrupt { detail })) => assert!(
+                detail.starts_with("resumed state violates an invariant: "),
+                "{path}: error names no invariant: {detail}"
+            ),
             Ok(other) => panic!("{path}: expected SnapshotCorrupt, got {other:?}"),
             Err(_) => panic!("{path}: resume panicked"),
         }
