@@ -40,15 +40,19 @@ use crate::{CacheConfig, SlotFlags, SlotId, Tag, TagArray, Victim};
 #[derive(Debug, Clone)]
 pub struct DataCache {
     tags: TagArray,
-    data: Vec<Vec<u8>>,
+    /// Every slot's page, slot `i` at `i·page .. (i+1)·page`: one flat
+    /// arena, so filling, writing back or invalidating a slot copies
+    /// bytes in place and never allocates.
+    data: Vec<u8>,
+    page: usize,
 }
 
 impl DataCache {
     /// Creates an empty cache with zeroed slot buffers.
     pub fn new(config: CacheConfig) -> Self {
         let page = config.page_size().bytes() as usize;
-        let data = vec![vec![0u8; page]; config.total_slots()];
-        DataCache { tags: TagArray::new(config), data }
+        let data = vec![0u8; page * config.total_slots()];
+        DataCache { tags: TagArray::new(config), data, page }
     }
 
     /// The cache geometry.
@@ -56,8 +60,18 @@ impl DataCache {
         self.tags.config()
     }
 
-    fn idx(&self, id: SlotId) -> usize {
-        id.set * self.config().associativity() + id.way
+    /// The arena range of `len` bytes at `offset` within a slot's page.
+    fn range(&self, id: SlotId, offset: usize, len: usize) -> std::ops::Range<usize> {
+        assert!(offset + len <= self.page, "access crosses the cache page");
+        let base = (id.set * self.config().associativity() + id.way) * self.page;
+        base + offset..base + offset + len
+    }
+
+    /// Copies exactly one page into a slot.
+    fn fill(&mut self, id: SlotId, bytes: &[u8], what: &str) {
+        assert_eq!(bytes.len(), self.page, "{what} requires exactly one cache page of data");
+        let r = self.range(id, 0, self.page);
+        self.data[r].copy_from_slice(bytes);
     }
 
     /// Looks up ⟨`asid`, `va`⟩, updating LRU on a hit.
@@ -75,31 +89,26 @@ impl DataCache {
         self.tags.victim_for(asid, va)
     }
 
-    /// Installs a page: tag, flags and exactly one page of bytes.
+    /// Installs a page: tag, flags and a copy of exactly one page of
+    /// bytes.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` is not exactly one cache page long.
-    pub fn install(&mut self, id: SlotId, tag: Tag, flags: SlotFlags, bytes: Vec<u8>) {
-        assert_eq!(
-            bytes.len() as u64,
-            self.config().page_size().bytes(),
-            "install requires exactly one cache page of data"
-        );
+    pub fn install(&mut self, id: SlotId, tag: Tag, flags: SlotFlags, bytes: impl AsRef<[u8]>) {
+        self.fill(id, bytes.as_ref(), "install");
         self.tags.install(id, tag, flags);
-        let i = self.idx(id);
-        self.data[i] = bytes;
     }
 
-    /// Invalidates a slot, returning its tag, flags and content if it was
-    /// valid (so the caller can write back a modified page).
-    pub fn invalidate(&mut self, id: SlotId) -> Option<(Tag, SlotFlags, Vec<u8>)> {
+    /// Invalidates a slot, returning its tag and flags if it was valid.
+    /// The page is zeroed for the next occupant, so a caller writing back
+    /// a modified page copies it out through [`DataCache::read`] first.
+    pub fn invalidate(&mut self, id: SlotId) -> Option<(Tag, SlotFlags)> {
         let flags = self.tags.flags(id);
         let tag = self.tags.invalidate(id)?;
-        let i = self.idx(id);
-        let page = self.config().page_size().bytes() as usize;
-        let bytes = std::mem::replace(&mut self.data[i], vec![0u8; page]);
-        Some((tag, flags, bytes))
+        let r = self.range(id, 0, self.page);
+        self.data[r].fill(0);
+        Some((tag, flags))
     }
 
     /// Reads `len` bytes at `offset` within a slot's page.
@@ -108,8 +117,7 @@ impl DataCache {
     ///
     /// Panics if the range exceeds the page.
     pub fn read(&self, id: SlotId, offset: usize, len: usize) -> &[u8] {
-        let i = self.idx(id);
-        &self.data[i][offset..offset + len]
+        &self.data[self.range(id, offset, len)]
     }
 
     /// Writes bytes at `offset` within a slot's page and sets `modified`,
@@ -119,16 +127,11 @@ impl DataCache {
     ///
     /// Panics if the range exceeds the page.
     pub fn write(&mut self, id: SlotId, offset: usize, bytes: &[u8]) {
-        let i = self.idx(id);
-        self.data[i][offset..offset + bytes.len()].copy_from_slice(bytes);
+        let r = self.range(id, offset, bytes.len());
+        self.data[r].copy_from_slice(bytes);
         let mut f = self.tags.flags(id);
         f.modified = true;
         self.tags.set_flags(id, f);
-    }
-
-    /// Returns a copy of a slot's page contents (e.g. for write-back).
-    pub fn snapshot(&self, id: SlotId) -> Vec<u8> {
-        self.data[self.idx(id)].clone()
     }
 
     /// Returns the flags of a slot.
@@ -166,8 +169,8 @@ impl DataCache {
         self.tags.last_use(id)
     }
 
-    /// Restores one slot verbatim — tag, flags, LRU timestamp and page
-    /// bytes — without bumping the LRU clock (see
+    /// Restores one slot verbatim — tag, flags, LRU timestamp and a copy
+    /// of the page bytes — without bumping the LRU clock (see
     /// [`TagArray::restore_slot`]).
     ///
     /// # Panics
@@ -179,16 +182,10 @@ impl DataCache {
         tag: Tag,
         flags: SlotFlags,
         last_use: u64,
-        bytes: Vec<u8>,
+        bytes: impl AsRef<[u8]>,
     ) {
-        assert_eq!(
-            bytes.len() as u64,
-            self.config().page_size().bytes(),
-            "restore requires exactly one cache page of data"
-        );
+        self.fill(id, bytes.as_ref(), "restore");
         self.tags.restore_slot(id, tag, flags, last_use);
-        let i = self.idx(id);
-        self.data[i] = bytes;
     }
 
     /// Restores the LRU clock (see [`TagArray::restore_clock`]).
@@ -209,7 +206,12 @@ mod tests {
         let va = VirtAddr::new(0x200);
         let v = c.victim_for(asid, va);
         let tag = Tag::new(asid, PageSize::S128.vpn_of(va));
-        c.install(v.slot, tag, SlotFlags::shared_clean(), (0..128).map(|i| i as u8).collect());
+        c.install(
+            v.slot,
+            tag,
+            SlotFlags::shared_clean(),
+            (0..128).map(|i| i as u8).collect::<Vec<u8>>(),
+        );
         (c, asid, va, v.slot)
     }
 
@@ -235,23 +237,60 @@ mod tests {
     fn invalidate_returns_contents() {
         let (mut c, asid, va, slot) = setup();
         c.write(slot, 0, &[9]);
-        let (tag, flags, bytes) = c.invalidate(slot).unwrap();
+        // The page's bytes, read before invalidation (a write-back's copy).
+        assert_eq!(c.read(slot, 0, 1), &[9]);
+        assert_eq!(c.read(slot, 1, 127), (1..128).map(|i| i as u8).collect::<Vec<u8>>());
+        let (tag, flags) = c.invalidate(slot).unwrap();
         assert_eq!(tag.asid, asid);
         assert!(flags.modified);
-        assert_eq!(bytes[0], 9);
-        assert_eq!(bytes.len(), 128);
         assert!(c.lookup(asid, va).is_none());
         assert!(c.invalidate(slot).is_none());
         // Buffer is zeroed for the next occupant.
-        assert_eq!(c.read(slot, 0, 4), &[0, 0, 0, 0]);
+        assert_eq!(c.read(slot, 0, 128), &[0; 128]);
     }
 
     #[test]
-    fn snapshot_copies_without_invalidation() {
-        let (mut c, asid, va, slot) = setup();
-        let snap = c.snapshot(slot);
-        assert_eq!(snap[5], 5);
-        assert!(c.lookup(asid, va).is_some());
+    fn arena_slots_are_disjoint() {
+        let config = CacheConfig::new(PageSize::S128, 2, 1024).unwrap();
+        let mut c = DataCache::new(config);
+        let asid = Asid::new(1);
+        let slots: Vec<SlotId> =
+            (0..config.total_slots()).map(|i| SlotId { set: i / 2, way: i % 2 }).collect();
+        for (i, &id) in slots.iter().enumerate() {
+            // The page number that maps to this slot's set.
+            let va = VirtAddr::new((id.set + id.way * config.sets()) as u64 * 128);
+            let tag = Tag::new(asid, PageSize::S128.vpn_of(va));
+            // Both a borrowed slice and an owned page are accepted.
+            if i % 2 == 0 {
+                c.restore_slot(id, tag, SlotFlags::shared_clean(), 0, &[i as u8; 128][..]);
+            } else {
+                c.restore_slot(id, tag, SlotFlags::shared_clean(), 0, vec![i as u8; 128]);
+            }
+        }
+        let (mid, last) = (slots[3], slots[slots.len() - 1]);
+        c.write(mid, 0, &[0xee; 128]);
+        c.write(last, 124, &[0xdd; 4]);
+        for (i, &id) in slots.iter().enumerate() {
+            let page = c.read(id, 0, 128);
+            if id == mid {
+                assert_eq!(page, &[0xee; 128]);
+            } else if id == last {
+                assert_eq!(&page[..124], &[i as u8; 124]);
+                assert_eq!(&page[124..], &[0xdd; 4]);
+            } else {
+                assert_eq!(page, &[i as u8; 128], "slot {i} disturbed by a neighbour");
+            }
+        }
+        c.invalidate(mid);
+        assert_eq!(c.read(slots[2], 0, 128), &[2; 128]);
+        assert_eq!(c.read(slots[4], 0, 128), &[4; 128]);
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses the cache page")]
+    fn read_past_the_page_panics() {
+        let (c, _, _, slot) = setup();
+        c.read(slot, 126, 4);
     }
 
     #[test]

@@ -200,6 +200,13 @@ pub struct Machine {
     pub(crate) stuck: Option<WatchdogViolation>,
     /// Events delivered so far, for the periodic `audit_every` check.
     pub(crate) events_delivered: u64,
+    /// Reused by [`Machine::bus_transaction`]: each board the address
+    /// phase touched, as `(board, interrupted, queued, dropped)` in
+    /// ascending board order. Empty between transactions.
+    pub(crate) snooped: Vec<(usize, bool, bool, bool)>,
+    /// Reused for the copy of a frame's slot list that a loop mutating
+    /// the cache and the phys index walks. Empty between uses.
+    pub(crate) frame_slots: Vec<SlotId>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -258,6 +265,7 @@ impl Machine {
         });
         let obs =
             config.obs.enabled.then(|| Box::new(MachineObs::new(&config.obs, config.processors)));
+        let snooped = Vec::with_capacity(config.processors);
         Ok(Machine {
             config,
             now: Nanos::ZERO,
@@ -275,6 +283,8 @@ impl Machine {
             watchdog,
             stuck: None,
             events_delivered: 0,
+            snooped,
+            frame_slots: Vec::new(),
         })
     }
 
@@ -311,6 +321,11 @@ impl Machine {
     /// The cache-page size of this machine.
     pub fn page_size(&self) -> PageSize {
         self.config.cache.page_size()
+    }
+
+    /// The cache-page size in bytes: the unit every block transfer copies.
+    pub(crate) fn page_bytes(&self) -> usize {
+        self.page_size().bytes() as usize
     }
 
     /// Number of processors.
@@ -619,20 +634,12 @@ impl Machine {
             ready
         };
         let mut abort = false;
-        let mut interrupted: Vec<usize> = Vec::new();
-        let mut queued: Vec<usize> = Vec::new();
-        let mut overflowed: Vec<usize> = Vec::new();
+        let mut snooped = std::mem::take(&mut self.snooped);
         for (j, cpu) in self.cpus.iter_mut().enumerate() {
             let d = cpu.monitor.observe(&tx);
             abort |= d.abort;
-            if d.interrupted {
-                interrupted.push(j);
-            }
-            if d.queued {
-                queued.push(j);
-            }
-            if d.dropped {
-                overflowed.push(j);
+            if d.interrupted || d.queued || d.dropped {
+                snooped.push((j, d.interrupted, d.queued, d.dropped));
             }
         }
         // Spurious abort injection, restricted to kinds whose issuers
@@ -713,18 +720,16 @@ impl Machine {
         }
         // Real FIFO overflows observed during the address phase: the
         // monitor lost the word and raised its sticky flag.
-        if !overflowed.is_empty() {
-            if let Some(o) = self.obs.as_deref_mut() {
-                for &j in &overflowed {
-                    o.cpu_event(j, end, EventKind::FifoOverflow);
-                }
+        if let Some(o) = self.obs.as_deref_mut() {
+            for &(j, ..) in snooped.iter().filter(|&&(_, _, _, dropped)| dropped) {
+                o.cpu_event(j, end, EventKind::FifoOverflow);
             }
         }
         // Injected FIFO word drops: a freshly queued word vanishes, but
         // always marks the FIFO overflowed — an injected drop is
         // indistinguishable from a real overflow, so the §3.3 recovery
         // scan repairs it (the fault-transparency contract).
-        for &j in &queued {
+        for &(j, ..) in snooped.iter().filter(|&&(_, _, queued, _)| queued) {
             let word = InterruptWord { kind: tx.kind, frame: tx.frame, issuer: tx.issuer };
             if self.fault_hook.drop_interrupt_word(self.now, self.cpus[j].id, &word)
                 && self.cpus[j].monitor.drop_newest().is_some()
@@ -751,12 +756,12 @@ impl Machine {
             }
         }
         // Track service attention for every board that now holds work.
-        for &j in &queued {
+        for &(j, ..) in snooped.iter().filter(|&&(_, _, queued, _)| queued) {
             self.cpus[j].attention.note(end);
         }
         // Parked, halted and computing processors service interrupts only
         // when woken; a CPU mid-memory-operation services at its end.
-        for j in interrupted {
+        for &(j, ..) in snooped.iter().filter(|&&(_, interrupted, ..)| interrupted) {
             match self.cpus[j].state {
                 CpuState::Parked | CpuState::Halted | CpuState::Computing { .. } => {
                     let at = end + self.config.bus.check_interval;
@@ -765,6 +770,8 @@ impl Machine {
                 CpuState::Ready => {}
             }
         }
+        snooped.clear();
+        self.snooped = snooped;
         (end, !abort)
     }
 
@@ -881,30 +888,26 @@ impl Machine {
     /// Writes back (if dirty) and invalidates — or downgrades — every
     /// slot of `cpu` holding `frame`; updates the action table.
     fn flush_frame(&mut self, cpu: usize, frame: FrameNum, downgrade: bool, mut t: Nanos) -> Nanos {
-        // Owned copy: the loop below mutates the cache and the index.
-        let slots = self.cpus[cpu].phys.slots(frame).to_vec();
-        if slots.is_empty() {
+        if self.cpus[cpu].phys.slots(frame).is_empty() {
             return t;
         }
-        let mut dirty_bytes: Option<Vec<u8>> = None;
-        for slot in &slots {
-            if self.cpus[cpu].cache.flags(*slot).modified {
-                dirty_bytes = Some(self.cpus[cpu].cache.snapshot(*slot));
-            }
-        }
-        if let Some(bytes) = dirty_bytes {
+        // Copied: the loop below mutates the cache and the index.
+        let mut slots = std::mem::take(&mut self.frame_slots);
+        slots.extend_from_slice(self.cpus[cpu].phys.slots(frame));
+        let dirty = slots.iter().rev().copied().find(|s| self.cpus[cpu].cache.flags(*s).modified);
+        if let Some(slot) = dirty {
             // Write-back bus transaction; never aborted for the owner.
             let tx = BusTransaction::new(BusTxKind::WriteBack, frame, self.cpus[cpu].id);
             let (end, ok) = self.bus_transaction(tx, t);
             debug_assert!(ok, "own write-back must not abort");
-            self.memory.write_frame(frame, &bytes);
+            self.memory.write_frame(frame, self.cpus[cpu].cache.read(slot, 0, self.page_bytes()));
             self.cpus[cpu].stats.writebacks += 1;
             if let Some(o) = self.obs.as_deref_mut() {
                 o.cpu_event(cpu, end, EventKind::WriteBack { frame });
             }
             t = end;
         }
-        for slot in slots {
+        for slot in slots.drain(..) {
             if downgrade {
                 let flags = self.cpus[cpu].cache.flags(slot);
                 self.cpus[cpu].cache.set_flags(slot, flags.downgraded());
@@ -915,6 +918,7 @@ impl Machine {
                 self.cpus[cpu].stats.invalidations += 1;
             }
         }
+        self.frame_slots = slots;
         let new_code =
             if downgrade { ActionCode::InterruptOnOwnership } else { ActionCode::Ignore };
         self.cpus[cpu].monitor.table_mut().set(frame, new_code);
@@ -1318,12 +1322,7 @@ impl Machine {
         }
         self.cpus[cpu].stats.upgrades += 1;
         // A private page is single-copy: drop our other aliases.
-        for other in self.cpus[cpu].phys.slots(cont.frame).to_vec() {
-            if other != cont.slot {
-                self.cpus[cpu].cache.invalidate(other);
-                self.cpus[cpu].phys.remove(cont.frame, other);
-            }
-        }
+        self.drop_aliases(cpu, cont.frame, Some(cont.slot));
         self.cpus[cpu].cache.set_flags(cont.slot, SlotFlags::private_page());
         self.cpus[cpu].monitor.table_mut().set(cont.frame, ActionCode::Protect);
         self.cpus[cpu].zero_yield_acquires += 1;
@@ -1389,21 +1388,33 @@ impl Machine {
         self.finish_access(cpu, cont.op, cont.va, slot, end)
     }
 
+    /// Invalidates every slot of `cpu` holding `frame` except `keep`,
+    /// without a write-back (the caller is taking the page private).
+    fn drop_aliases(&mut self, cpu: usize, frame: FrameNum, keep: Option<SlotId>) {
+        // Copied: the loop below mutates the cache and the index.
+        let mut slots = std::mem::take(&mut self.frame_slots);
+        slots.extend_from_slice(self.cpus[cpu].phys.slots(frame));
+        for other in slots.drain(..) {
+            if Some(other) != keep {
+                self.cpus[cpu].cache.invalidate(other);
+                self.cpus[cpu].phys.remove(frame, other);
+            }
+        }
+        self.frame_slots = slots;
+    }
+
     /// Installs the fetched page into the reserved slot and updates the
     /// software phys-index and action table.
     fn install_fetched(&mut self, cpu: usize, cont: &FetchCont) -> SlotId {
         if cont.want_private {
             // A private page must be the only copy anywhere, including our
             // own aliases under other virtual addresses.
-            for other in self.cpus[cpu].phys.slots(cont.frame).to_vec() {
-                self.cpus[cpu].cache.invalidate(other);
-                self.cpus[cpu].phys.remove(cont.frame, other);
-            }
+            self.drop_aliases(cpu, cont.frame, None);
         }
-        let data = self.memory.read_frame(cont.frame);
         let flags =
             if cont.want_private { SlotFlags::private_page() } else { SlotFlags::shared_clean() };
         let vpn = self.page_size().vpn_of(cont.va);
+        let data = self.memory.read(cont.frame, 0, self.page_bytes());
         self.cpus[cpu].cache.install(cont.slot, Tag::new(cont.asid, vpn), flags, data);
         self.cpus[cpu].phys.insert(cont.frame, cont.slot);
         let code =
@@ -1455,15 +1466,21 @@ impl Machine {
         let slot = victim.slot;
         let mut wb_end = t;
         if victim.evicted.is_some() {
-            let (_tag, flags, bytes) =
-                self.cpus[cpu].cache.invalidate(slot).expect("victim is valid");
             let vframe = self.cpus[cpu].phys.frame_of(slot).expect("victim is indexed");
+            let modified = self.cpus[cpu].cache.flags(slot).modified;
+            if modified {
+                // The page leaves the cache before the slot is zeroed; the
+                // write-back transaction below touches neither memory nor
+                // caches, so copying first changes nothing it sees.
+                let bytes = self.cpus[cpu].cache.read(slot, 0, self.page_bytes());
+                self.memory.write_frame(vframe, bytes);
+            }
+            self.cpus[cpu].cache.invalidate(slot).expect("victim is valid");
             self.cpus[cpu].phys.remove(vframe, slot);
-            if flags.modified {
+            if modified {
                 let tx = BusTransaction::new(BusTxKind::WriteBack, vframe, self.cpus[cpu].id);
                 let (end, ok) = self.bus_transaction(tx, t);
                 debug_assert!(ok, "own write-back must not abort");
-                self.memory.write_frame(vframe, &bytes);
                 self.cpus[cpu].stats.writebacks += 1;
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.cpu_event(cpu, end, EventKind::WriteBack { frame: vframe });
@@ -1550,11 +1567,10 @@ impl Machine {
                 let frame = self.kernel.fault_in(asid, vpn, va)?;
                 // Restore from the backing store if the page was
                 // reclaimed earlier; otherwise demand-zero.
-                let bytes = self
-                    .swap
-                    .remove(&(asid, vpn))
-                    .unwrap_or_else(|| vec![0u8; self.page_size().bytes() as usize]);
-                self.memory.write_frame(frame, &bytes);
+                match self.swap.remove(&(asid, vpn)) {
+                    Some(bytes) => self.memory.write_frame(frame, &bytes),
+                    None => self.memory.zero_frame(frame),
+                }
                 frame
             }
         };
@@ -1897,7 +1913,7 @@ impl Machine {
             }
             DmaPhase::Transfer(idx) => {
                 let frame = self.dmas[handle].request.frames[idx];
-                let page = self.page_size().bytes() as usize;
+                let page = self.page_bytes();
                 let (kind, write_to_mem) = match self.dmas[handle].request.direction {
                     DmaDirection::ToMemory => (BusTxKind::PlainWrite, true),
                     DmaDirection::FromMemory => (BusTxKind::PlainRead, false),

@@ -19,9 +19,12 @@ use vmp_types::FrameNum;
 /// in small sorted `Vec`s handed out by reference (no per-lookup
 /// allocation, unlike the former `BTreeSet` + collect), and the reverse
 /// slot→frame map is a flat array indexed by `set * ways + way` (one
-/// load, no hashing). Build it with [`PhysIndex::with_geometry`] when
-/// the cache shape is known; [`PhysIndex::new`] grows the flat array on
-/// demand.
+/// load, no hashing). A frame whose last slot is removed keeps its
+/// emptied `Vec`, so the ownership ping-pong that evicts and refills the
+/// same frames reuses the buffer instead of allocating one per fill; the
+/// map is bounded by the number of memory frames. Build it with
+/// [`PhysIndex::with_geometry`] when the cache shape is known;
+/// [`PhysIndex::new`] grows the flat array on demand.
 ///
 /// # Examples
 ///
@@ -122,9 +125,6 @@ impl PhysIndex {
             if let Ok(pos) = slots.binary_search(&slot) {
                 slots.remove(pos);
             }
-            if slots.is_empty() {
-                by_frame.remove(&frame);
-            }
         }
     }
 
@@ -146,12 +146,12 @@ impl PhysIndex {
 
     /// Number of distinct frames with at least one cached copy.
     pub fn frames_cached(&self) -> usize {
-        self.by_frame.len()
+        self.by_frame.values().filter(|slots| !slots.is_empty()).count()
     }
 
     /// Iterates over `(frame, slot)` pairs in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (FrameNum, SlotId)> + '_ {
-        let mut frames: Vec<_> = self.by_frame.iter().collect();
+        let mut frames: Vec<_> = self.by_frame.iter().filter(|(_, s)| !s.is_empty()).collect();
         frames.sort_by_key(|(f, _)| **f);
         frames.into_iter().flat_map(|(f, slots)| slots.iter().map(move |s| (*f, *s)))
     }
@@ -234,6 +234,24 @@ mod tests {
             assert_eq!(pre.frame_of(s), grown.frame_of(s));
         }
         assert_eq!(pre.iter().collect::<Vec<_>>(), grown.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn emptied_frame_is_invisible_and_reusable() {
+        let mut idx = PhysIndex::with_geometry(4, 2);
+        idx.insert(FrameNum::new(7), slot(1, 1));
+        idx.insert(FrameNum::new(7), slot(2, 0));
+        idx.insert(FrameNum::new(3), slot(0, 0));
+        idx.remove(FrameNum::new(7), slot(1, 1));
+        idx.remove(FrameNum::new(7), slot(2, 0));
+        assert!(idx.slots(FrameNum::new(7)).is_empty());
+        assert_eq!(idx.frames_cached(), 1);
+        assert_eq!(idx.iter().collect::<Vec<_>>(), vec![(FrameNum::new(3), slot(0, 0))]);
+        idx.insert(FrameNum::new(7), slot(3, 1));
+        assert_eq!(idx.slots(FrameNum::new(7)), vec![slot(3, 1)]);
+        assert_eq!(idx.frame_of(slot(3, 1)), Some(FrameNum::new(7)));
+        assert_eq!(idx.frames_cached(), 2);
+        assert_eq!(idx.iter().count(), 2);
     }
 
     #[test]

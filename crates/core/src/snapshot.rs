@@ -97,10 +97,11 @@ impl ConfigDigest {
 
 // The header is `version`, `config`, these fields, `fault_hook`, `cpus`.
 // Observability is not captured, the watchdog is rebuilt from the
-// config, and a latched violation refuses the snapshot.
+// config, a latched violation refuses the snapshot, and the reused
+// buffers are empty between events, so they hold no state.
 record! { in_place Machine {
     now, events_delivered, queue, bus, memory, kernel, swap, dma_protected, dmas, fault_stats,
-} skip { config, cpus, fault_hook, obs, watchdog, stuck } }
+} skip { config, cpus, fault_hook, obs, watchdog, stuck, snooped, frame_slots } }
 
 // Each processor is these fields, then `program`.
 record! { in_place Cpu {
@@ -323,7 +324,7 @@ via! { DataCache as CacheState<'_> {
     },
     dec |c, state, _cx| {
         for s in state.slots {
-            c.restore_slot(s.id, s.tag, s.flags, s.last_use, s.data.0.into_owned());
+            c.restore_slot(s.id, s.tag, s.flags, s.last_use, s.data.0);
         }
         c.restore_clock(state.clock);
     },

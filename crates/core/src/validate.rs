@@ -101,9 +101,9 @@ impl Machine {
             // Shared copies must match memory.
             for c in &holders {
                 if !c.2.exclusive && !in_transition(c.0, f) {
-                    let mem = self.memory.read_frame(f);
-                    let cached = self.cpus[c.0].cache.snapshot(c.1);
-                    if mem != cached {
+                    let page = self.page_bytes();
+                    let mem = self.memory.read(f, 0, page);
+                    if self.cpus[c.0].cache.read(c.1, 0, page) != mem {
                         return Err(format!("{f} shared copy at cpu{} diverges from memory", c.0));
                     }
                 }

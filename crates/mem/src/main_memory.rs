@@ -115,6 +115,16 @@ impl MainMemory {
         self.write(frame, 0, bytes);
     }
 
+    /// Zero-fills one whole frame in place (a demand-zero page).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is out of range.
+    pub fn zero_frame(&mut self, frame: FrameNum) {
+        let r = self.frame_range(frame, 0, self.page_size.bytes() as usize);
+        self.data[r].fill(0);
+    }
+
     /// Reads a little-endian `u32` at a physical address (word-aligned).
     ///
     /// # Panics
@@ -159,6 +169,19 @@ mod tests {
         m.write_frame(FrameNum::new(3), &page);
         assert_eq!(m.read_frame(FrameNum::new(3)), page);
         assert_eq!(m.read_frame(FrameNum::new(2)), vec![0u8; 128]);
+    }
+
+    #[test]
+    fn zero_frame_clears_only_its_frame() {
+        let mut m = MainMemory::new(PageSize::S128, 512);
+        for f in 0..4 {
+            m.write_frame(FrameNum::new(f), &[0xab; 128]);
+        }
+        m.zero_frame(FrameNum::new(2));
+        assert_eq!(m.read(FrameNum::new(2), 0, 128), &[0; 128]);
+        for f in [0, 1, 3] {
+            assert_eq!(m.read(FrameNum::new(f), 0, 128), &[0xab; 128]);
+        }
     }
 
     #[test]

@@ -375,13 +375,24 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one whole UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
+                Some(lead) => {
+                    // Consume one whole UTF-8 character: the lead byte
+                    // gives its length, so only those bytes are checked.
+                    let len = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        0xf0..=0xf7 => 4,
+                        _ => 0,
+                    };
+                    let c = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += len;
                 }
             }
         }
@@ -456,6 +467,28 @@ mod tests {
         let v = Value::Str("quote \" slash \\ newline \n tab \t ctrl \u{1}".into());
         let back = parse(&v.to_string()).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn long_multibyte_string_roundtrips() {
+        // Characters of 1–4 bytes, over 1 MiB in one string: a parse
+        // that re-checked the rest of the input for every character
+        // would be quadratic in the string's length.
+        let unit = "a\u{e9}\u{20ac}\u{1f600}\"\n";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let v = Value::Arr(vec![Value::Str(text), Value::UInt(7)]);
+        let back = parse(&v.to_string()).unwrap();
+        assert_eq!(back, v);
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_is_an_error() {
+        for bad in [&b"\"\xff\""[..], b"\"\xc3\"", b"\"\xe2\x82\"", b"\"\xed\xa0\x80\""] {
+            let mut p = Parser { bytes: bad, pos: 0 };
+            let err = p.string().unwrap_err();
+            assert_eq!((err.pos, err.msg), (1, "invalid utf-8"), "{bad:?}");
+        }
     }
 
     #[test]
