@@ -3,10 +3,13 @@
 //! schema-stable metrics document, wrapped rings must count their
 //! drops, and enabling recording must not move a single statistic.
 
-use vmp::machine::scenarios::{observed_config, Scenario};
-use vmp::machine::{Machine, MachineConfig, ObsConfig};
+use vmp::bus::FaultClass;
+use vmp::faults::{FaultPlan, FaultRates};
+use vmp::machine::scenarios::{observed_config, soak_config, Scenario};
+use vmp::machine::{DmaRequest, Machine, MachineConfig, ObsConfig};
 use vmp::obs::json::{parse, Value};
-use vmp::obs::{chrome_trace, metrics_json};
+use vmp::obs::{chrome_trace, metrics_json, EventKind, MachineObs};
+use vmp::types::{Asid, VirtAddr};
 
 /// Four processors: two fighting over a spin lock, two false-sharing a
 /// pair of pages — every event class shows up on the recorded tracks.
@@ -125,4 +128,115 @@ fn recording_is_transparent_to_the_run() {
     assert_eq!(off.1, on.1, "processor statistics must be identical");
     assert_eq!(off.2, on.2, "fault accounting must be identical");
     assert_eq!(off.3, on.3, "bus statistics must be identical");
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest of an exported document.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The contended 4-processor mix `vmp-trace-tool timeline`/`metrics`
+/// record.
+fn recorded_contended() -> Machine {
+    let mut m = contended(ObsConfig::with_attrib());
+    m.run().unwrap();
+    m
+}
+
+/// A chaos-soak machine under a heavy fault plan, recording on: aborts,
+/// stalls, dropped words, forced overflows and recovery scans.
+fn recorded_chaos() -> Machine {
+    let config = MachineConfig { obs: ObsConfig::with_attrib(), ..soak_config(2) };
+    let mut m = Scenario::NotifyLock.build(config).unwrap();
+    m.install_fault_hook(FaultPlan::new(3, FaultRates::heavy()));
+    m.run().unwrap();
+    m
+}
+
+/// Two lock workers beside a device that writes two pages into memory
+/// and reads them back, under a plan that fails copier attempts.
+fn recorded_dma() -> Machine {
+    let config = MachineConfig { obs: ObsConfig::with_attrib(), ..observed_config(2) };
+    let mut m = Scenario::SpinLock.build(config).unwrap();
+    let frames: Vec<_> = [0x8000u64, 0x9000]
+        .iter()
+        .map(|&va| m.map_shared(&[(Asid::new(1), VirtAddr::new(va))]).unwrap())
+        .collect();
+    let page = m.page_size().bytes() as usize;
+    let data: Vec<u8> = (0..2 * page).map(|i| i as u8).collect();
+    m.queue_dma(0, DmaRequest::to_memory(frames.clone(), data.clone())).unwrap();
+    let out = m.queue_dma(1, DmaRequest::from_memory(frames)).unwrap();
+    m.install_fault_hook(FaultPlan::new(7, FaultRates { copier: 0.5, ..FaultRates::none() }));
+    m.run().unwrap();
+    assert_eq!(m.dma_result(out), Some(&data[..]), "the device reads back what it wrote");
+    m
+}
+
+/// Position of an event kind in a coverage table; exhaustive, so a new
+/// variant must be covered here too.
+fn kind_index(kind: &EventKind) -> usize {
+    match kind {
+        EventKind::MissBegin { .. } => 0,
+        EventKind::MissEnd { .. } => 1,
+        EventKind::WriteBack { .. } => 2,
+        EventKind::Retry { .. } => 3,
+        EventKind::IrqBegin { .. } => 4,
+        EventKind::IrqEnd { .. } => 5,
+        EventKind::FifoOverflow => 6,
+        EventKind::FifoRecovery { .. } => 7,
+        EventKind::BusTx { .. } => 8,
+        EventKind::Copier { .. } => 9,
+        EventKind::Fault { .. } => 10,
+    }
+}
+
+fn fault_index(class: FaultClass) -> usize {
+    match class {
+        FaultClass::ArbitrationStall => 0,
+        FaultClass::InjectedAbort => 1,
+        FaultClass::DroppedWord => 2,
+        FaultClass::ForcedOverflow => 3,
+        FaultClass::CopierRetry => 4,
+    }
+}
+
+/// Every recorded event of `obs`, all tracks.
+fn all_events(obs: &MachineObs) -> impl Iterator<Item = &EventKind> + '_ {
+    (0..obs.processors()).flat_map(|c| obs.cpu_events(c)).chain(obs.bus_events()).map(|e| &e.kind)
+}
+
+/// The exported timeline and metrics documents are pinned byte for
+/// byte (by digest) on three recorded runs that between them produce
+/// every event kind and every fault class, so any change to what the
+/// machine records, or how it is exported, shows here.
+#[test]
+fn exports_match_their_pinned_digests() {
+    let runs =
+        [("contended", recorded_contended()), ("chaos", recorded_chaos()), ("dma", recorded_dma())];
+    let mut kinds = [0u64; 11];
+    let mut faults = [0u64; 5];
+    let mut digests = Vec::new();
+    for (name, m) in &runs {
+        let obs = m.obs().expect("recording is enabled");
+        assert_eq!(obs.total_dropped(), 0, "{name}: the pinned timeline must be complete");
+        for kind in all_events(obs) {
+            kinds[kind_index(kind)] += 1;
+            if let EventKind::Fault { class } = kind {
+                faults[fault_index(*class)] += 1;
+            }
+        }
+        let trace = fnv1a(chrome_trace(obs).to_string().as_bytes());
+        let metrics = fnv1a(metrics_json(obs, m.now()).to_string().as_bytes());
+        digests.push((*name, trace, metrics));
+    }
+    assert!(kinds.iter().all(|&n| n > 0), "every event kind must occur: {kinds:?}");
+    assert!(faults.iter().all(|&n| n > 0), "every fault class must occur: {faults:?}");
+    let pinned = [
+        ("contended", 0x54f2_b4f2_7358_09cb, 0x9fa9_bf60_4fd6_fcba),
+        ("chaos", 0xa31a_1d2a_4c04_b5b2, 0x5973_0cd5_cfc4_4b7b),
+        ("dma", 0x8960_2dff_8569_aaab, 0x5345_0adb_5616_9ad9),
+    ];
+    assert_eq!(digests, pinned, "exported bytes changed; now {digests:#x?}");
 }
