@@ -9,7 +9,7 @@ use vmp_bus::{
 };
 use vmp_cache::{DataCache, SlotFlags, SlotId, Tag};
 use vmp_mem::MainMemory;
-use vmp_obs::{EventKind, MachineObs, MissCause};
+use vmp_obs::{CpuClocks, EventKind, MachineObs, MissCause, Probe};
 use vmp_sim::{AttentionClock, EventQueue, Histogram};
 use vmp_trace::MemRef;
 use vmp_types::{Asid, FrameNum, Nanos, PageSize, PhysAddr, ProcessorId, VirtAddr, VirtPageNum};
@@ -188,10 +188,10 @@ pub struct Machine {
     pub(crate) fault_hook: Box<dyn FaultHook>,
     /// Machine-side accounting of the faults absorbed so far.
     pub(crate) fault_stats: FaultStats,
-    /// Event recorder, allocated only when `config.obs.enabled`: the
-    /// disabled path is a single branch per instrumentation site, and
-    /// recording only ever reads simulator state, so enabling it cannot
-    /// perturb a run.
+    /// Event recorder, allocated only when `config.obs.enabled`. Only
+    /// [`Machine::probe`] feeds it, so the disabled path is one branch
+    /// per chokepoint, and recording only ever reads simulator state, so
+    /// enabling it cannot perturb a run.
     pub(crate) obs: Option<Box<MachineObs>>,
     /// Liveness watchdog, resolved from the configuration at build.
     pub(crate) watchdog: Option<ResolvedWatchdog>,
@@ -204,8 +204,8 @@ pub struct Machine {
     /// phase touched, as `(board, interrupted, queued, dropped)` in
     /// ascending board order. Empty between transactions.
     pub(crate) snooped: Vec<(usize, bool, bool, bool)>,
-    /// Reused for the copy of a frame's slot list that a loop mutating
-    /// the cache and the phys index walks. Empty between uses.
+    /// Reused for the slot lists that loops mutating the cache and the
+    /// phys index walk (a frame's, or a recovery's). Empty between uses.
     pub(crate) frame_slots: Vec<SlotId>,
 }
 
@@ -311,6 +311,17 @@ impl Machine {
     /// [`vmp_obs::metrics_json`].
     pub fn obs(&self) -> Option<&MachineObs> {
         self.obs.as_deref()
+    }
+
+    /// Reports one chokepoint to the recorder ([`MachineObs::record`]
+    /// decides what it feeds). `report` builds the probe, given the
+    /// processors' clocks, and runs only while recording: with the
+    /// recorder off a chokepoint costs one branch and builds nothing.
+    #[inline]
+    fn probe(&mut self, report: impl FnOnce(&dyn CpuClocks) -> Probe<'_>) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.record(report(&Clocks(&self.cpus)));
+        }
     }
 
     /// Simulated time.
@@ -434,6 +445,10 @@ impl Machine {
         let id = ProcessorId::new(self.cpus.len() + self.dmas.len());
         let handle = self.dmas.len();
         let mut engine = DmaEngine::new(id, host, request);
+        // A device read captures whole frames into one buffer, sized once.
+        if engine.request.direction == DmaDirection::FromMemory {
+            engine.buffer.reserve_exact(engine.request.frames.len() * self.page_bytes());
+        }
         // Serialize against any in-flight request touching the same
         // frames — the paper's OS-level region lock (§3.3).
         engine.blocked_on = self
@@ -555,15 +570,8 @@ impl Machine {
                     }
                 }
             }
-            if self.obs.is_some() {
-                let now = self.now;
-                let busy = self.bus.stats().busy.busy();
-                let o = self.obs.as_deref_mut().expect("checked above");
-                o.sample_bus(now, busy);
-                for (i, c) in self.cpus.iter().enumerate() {
-                    o.sample_cpu(i, now, c.stats.useful_time, c.stats.stall_time);
-                }
-            }
+            let (now, bus_busy) = (self.now, self.bus.stats().busy.busy());
+            self.probe(|cpus| Probe::Sample { now, bus_busy, cpus });
             if let Some(w) = self.watchdog {
                 if let Some(v) = self.stuck.take() {
                     return Err(MachineError::Watchdog(v));
@@ -622,13 +630,13 @@ impl Machine {
     fn bus_transaction(&mut self, tx: BusTransaction, ready: Nanos) -> (Nanos, bool) {
         // Injected arbitration stall: the arbiter keeps granting other
         // masters before this one wins the bus.
-        let stall = self.fault_hook.arbitration_stall(self.now, &tx);
+        let now = self.now;
+        let stall = self.fault_hook.arbitration_stall(now, &tx);
         let ready = if stall > Nanos::ZERO {
             self.fault_stats.stalls += 1;
             self.fault_stats.stall_time += stall;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.bus_event(self.now, EventKind::Fault { class: FaultClass::ArbitrationStall });
-            }
+            let stalled = EventKind::Fault { class: FaultClass::ArbitrationStall };
+            self.probe(|_| Probe::Bus(now, stalled));
             ready + stall
         } else {
             ready
@@ -647,83 +655,41 @@ impl Machine {
         // guarantee the rest of the machine relies on) and plain cycles
         // have no retry trap.
         let mut injected = false;
-        if !abort && can_inject_abort(tx.kind) && self.fault_hook.inject_abort(self.now, &tx) {
+        if !abort && can_inject_abort(tx.kind) && self.fault_hook.inject_abort(now, &tx) {
             abort = true;
             injected = true;
             self.fault_stats.injected_aborts += 1;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.bus_event(self.now, EventKind::Fault { class: FaultClass::InjectedAbort });
-            }
+            self.probe(|_| Probe::Bus(now, EventKind::Fault { class: FaultClass::InjectedAbort }));
         }
         let end = if abort {
             // Address-phase abort: terminated immediately, the block
             // transfer never starts, queued transfers are not delayed.
             self.bus.abort(tx.kind, injected);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.bus_event(
-                    ready + self.config.bus.arbitration,
-                    EventKind::BusTx {
-                        kind: tx.kind,
-                        frame: tx.frame,
-                        issuer: tx.issuer,
-                        wait: self.config.bus.arbitration,
-                        dur: self.bus.abort_duration(),
-                        aborted: true,
-                    },
-                );
-            }
-            ready + self.config.bus.arbitration + self.bus.abort_duration()
+            let (wait, dur) = (self.config.bus.arbitration, self.bus.abort_duration());
+            let (kind, frame, issuer) = (tx.kind, tx.frame, tx.issuer);
+            let at = ready + wait;
+            self.probe(|_| {
+                Probe::Bus(at, EventKind::BusTx { kind, frame, issuer, wait, dur, aborted: true })
+            });
+            at + dur
         } else {
-            let mut dur = self.bus.duration(tx.kind);
-            let mut copier_failures = 0u32;
-            if tx.kind.is_block_transfer() {
-                // Transient copier errors: each failed attempt occupies
-                // one full transfer slot before the bounded retry wins.
-                let failures = self.fault_hook.copier_failures(self.now, &tx);
-                if failures > 0 {
-                    let extra = dur * u64::from(failures);
-                    self.fault_stats.copier_retries += u64::from(failures);
-                    self.fault_stats.copier_retry_time += extra;
-                    dur += extra;
-                    copier_failures = failures;
-                }
-            }
-            let start = self.bus.reserve(ready, dur);
-            self.bus.complete(tx.kind, dur);
-            if let Some(o) = self.obs.as_deref_mut() {
-                let wait = start.saturating_sub(ready);
-                o.arb_wait.record(wait);
-                o.bus_event(
-                    start,
-                    EventKind::BusTx {
-                        kind: tx.kind,
-                        frame: tx.frame,
-                        issuer: tx.issuer,
-                        wait,
-                        dur,
-                        aborted: false,
-                    },
-                );
-                if copier_failures > 0 {
-                    o.bus_event(start, EventKind::Fault { class: FaultClass::CopierRetry });
-                }
-            }
-            start + dur
+            // Transient copier errors: each failed attempt occupies one
+            // full transfer slot before the bounded retry wins.
+            let failures = if tx.kind.is_block_transfer() {
+                self.fault_hook.copier_failures(now, &tx)
+            } else {
+                0
+            };
+            let dur = self.bus.duration(tx.kind);
+            self.fault_stats.copier_retries += u64::from(failures);
+            self.fault_stats.copier_retry_time += dur * u64::from(failures);
+            let dur = dur * (1 + u64::from(failures));
+            self.occupy(tx, ready, dur, failures) + dur
         };
-        // Contention attribution: the four tracked kinds flow only
-        // through this chokepoint, so the table's per-class totals stay
-        // in lock-step with the bus's own counters.
-        if let Some(o) = self.obs.as_deref_mut() {
-            if let Some(a) = o.attrib_mut() {
-                a.record_tx(tx.frame, tx.issuer.index(), tx.kind, abort, end);
-            }
-        }
         // Real FIFO overflows observed during the address phase: the
         // monitor lost the word and raised its sticky flag.
-        if let Some(o) = self.obs.as_deref_mut() {
-            for &(j, ..) in snooped.iter().filter(|&&(_, _, _, dropped)| dropped) {
-                o.cpu_event(j, end, EventKind::FifoOverflow);
-            }
+        for &(j, ..) in snooped.iter().filter(|&&(_, _, _, dropped)| dropped) {
+            self.probe(|_| Probe::Cpu(j, end, EventKind::FifoOverflow));
         }
         // Injected FIFO word drops: a freshly queued word vanishes, but
         // always marks the FIFO overflowed — an injected drop is
@@ -731,28 +697,24 @@ impl Machine {
         // scan repairs it (the fault-transparency contract).
         for &(j, ..) in snooped.iter().filter(|&&(_, _, queued, _)| queued) {
             let word = InterruptWord { kind: tx.kind, frame: tx.frame, issuer: tx.issuer };
-            if self.fault_hook.drop_interrupt_word(self.now, self.cpus[j].id, &word)
+            if self.fault_hook.drop_interrupt_word(now, self.cpus[j].id, &word)
                 && self.cpus[j].monitor.drop_newest().is_some()
             {
                 self.fault_stats.dropped_words += 1;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.cpu_event(j, end, EventKind::Fault { class: FaultClass::DroppedWord });
-                    o.cpu_event(j, end, EventKind::FifoOverflow);
-                }
+                let dropped = EventKind::Fault { class: FaultClass::DroppedWord };
+                self.probe(|_| Probe::Cpu(j, end, dropped));
             }
         }
         // Forced overflow: the sticky flag rises without losing a word,
         // triggering a spurious (but harmless) recovery scan on the
         // issuer's own monitor.
         if let Some(j) = self.cpus.iter().position(|c| c.id == tx.issuer) {
-            if self.fault_hook.force_overflow(self.now, self.cpus[j].id) {
+            if self.fault_hook.force_overflow(now, self.cpus[j].id) {
                 self.cpus[j].monitor.force_overflow();
                 self.fault_stats.forced_overflows += 1;
                 self.cpus[j].attention.note(end);
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.cpu_event(j, end, EventKind::Fault { class: FaultClass::ForcedOverflow });
-                    o.cpu_event(j, end, EventKind::FifoOverflow);
-                }
+                let forced = EventKind::Fault { class: FaultClass::ForcedOverflow };
+                self.probe(|_| Probe::Cpu(j, end, forced));
             }
         }
         // Track service attention for every board that now holds work.
@@ -775,14 +737,37 @@ impl Machine {
         (end, !abort)
     }
 
+    /// Holds the bus for `dur` from the first free slot at or after
+    /// `ready` and reports the occupancy — a DMA engine's as a copier
+    /// transfer — noting the `failures` copier attempts inside it.
+    /// Returns the slot's start.
+    fn occupy(&mut self, tx: BusTransaction, ready: Nanos, dur: Nanos, failures: u32) -> Nanos {
+        let start = self.bus.reserve(ready, dur);
+        self.bus.complete(tx.kind, dur);
+        let (frame, issuer, wait) = (tx.frame, tx.issuer, start.saturating_sub(ready));
+        // DMA engines are pseudo-processors numbered after the CPUs.
+        let (cpu, kind) = (issuer.index() < self.cpus.len(), tx.kind);
+        self.probe(|_| {
+            let event = if cpu {
+                EventKind::BusTx { kind, frame, issuer, wait, dur, aborted: false }
+            } else {
+                EventKind::Copier { frame, issuer, wait, dur, write: kind == BusTxKind::PlainWrite }
+            };
+            Probe::Bus(start, event)
+        });
+        if failures > 0 {
+            self.probe(|_| Probe::Bus(start, EventKind::Fault { class: FaultClass::CopierRetry }));
+        }
+        start
+    }
+
     /// Backoff before retrying an aborted transaction: grows with the
     /// retry streak so symmetric contenders cannot phase-lock forever.
     fn retry_at(&mut self, cpu: usize, abort_end: Nanos) -> Nanos {
         let streak = u64::from(self.cpus[cpu].retry_streak.min(self.config.cpu.max_retry_streak));
         self.cpus[cpu].retry_streak += 1;
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.cpu_event(cpu, abort_end, EventKind::Retry { streak: self.cpus[cpu].retry_streak });
-        }
+        let retried = self.cpus[cpu].retry_streak;
+        self.probe(|_| Probe::Cpu(cpu, abort_end, EventKind::Retry { streak: retried }));
         abort_end + self.config.cpu.retry_backoff * (1 + streak)
     }
 
@@ -797,14 +782,10 @@ impl Machine {
         let pending = self.cpus[cpu].monitor.pending() as u32;
         let had_work = pending > 0 || self.cpus[cpu].monitor.overflowed();
         if had_work {
-            if let Some(o) = self.obs.as_deref_mut() {
-                // Queued-to-service latency, measured from the oldest
-                // unserviced word's onset.
-                if let Some(waited) = self.cpus[cpu].attention.waiting(t0) {
-                    o.irq_latency.record(waited);
-                }
-                o.cpu_event(cpu, t0, EventKind::IrqBegin { pending });
-            }
+            // Queued-to-service latency runs from the oldest unserviced
+            // word's onset.
+            let waited = self.cpus[cpu].attention.waiting(t0);
+            self.probe(|_| Probe::Cpu(cpu, t0, EventKind::IrqBegin { pending, waited }));
         }
         if self.cpus[cpu].monitor.overflowed() {
             t = self.recover_overflow(cpu, t);
@@ -831,9 +812,7 @@ impl Machine {
             self.cpus[cpu].attention.clear();
         }
         if had_work {
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.cpu_event(cpu, t, EventKind::IrqEnd { serviced });
-            }
+            self.probe(|_| Probe::Cpu(cpu, t, EventKind::IrqEnd { serviced }));
         }
         t
     }
@@ -896,16 +875,7 @@ impl Machine {
         slots.extend_from_slice(self.cpus[cpu].phys.slots(frame));
         let dirty = slots.iter().rev().copied().find(|s| self.cpus[cpu].cache.flags(*s).modified);
         if let Some(slot) = dirty {
-            // Write-back bus transaction; never aborted for the owner.
-            let tx = BusTransaction::new(BusTxKind::WriteBack, frame, self.cpus[cpu].id);
-            let (end, ok) = self.bus_transaction(tx, t);
-            debug_assert!(ok, "own write-back must not abort");
-            self.memory.write_frame(frame, self.cpus[cpu].cache.read(slot, 0, self.page_bytes()));
-            self.cpus[cpu].stats.writebacks += 1;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.cpu_event(cpu, end, EventKind::WriteBack { frame });
-            }
-            t = end;
+            t = self.write_back(cpu, slot, frame, t);
         }
         for slot in slots.drain(..) {
             if downgrade {
@@ -925,6 +895,20 @@ impl Machine {
         t
     }
 
+    /// Copies `cpu`'s modified page in `slot` back to `frame` and issues
+    /// the write-back transaction at `t` (never aborted for the owner; it
+    /// touches neither memory nor caches, so copying first changes
+    /// nothing it sees). Returns the transaction's end.
+    fn write_back(&mut self, cpu: usize, slot: SlotId, frame: FrameNum, t: Nanos) -> Nanos {
+        self.memory.write_frame(frame, self.cpus[cpu].cache.read(slot, 0, self.page_bytes()));
+        let tx = BusTransaction::new(BusTxKind::WriteBack, frame, self.cpus[cpu].id);
+        let (end, ok) = self.bus_transaction(tx, t);
+        debug_assert!(ok, "own write-back must not abort");
+        self.cpus[cpu].stats.writebacks += 1;
+        self.probe(|_| Probe::Cpu(cpu, end, EventKind::WriteBack { frame }));
+        end
+    }
+
     /// FIFO-overflow recovery (§3.3): invalidate every shared entry,
     /// rebuild the table from the (still-correct) private entries, and
     /// clear the flag. Privately owned pages are safe because requests
@@ -933,18 +917,13 @@ impl Machine {
         let t0 = t;
         self.cpus[cpu].stats.fifo_recoveries += 1;
         let per_slot = self.config.cpu.overflow_recovery_per_slot;
-        let shared: Vec<(SlotId, FrameNum)> = self.cpus[cpu]
-            .cache
-            .iter_valid()
-            .filter(|(_, _, flags)| !flags.exclusive)
-            .map(|(slot, _, _)| {
-                let frame = self.cpus[cpu].phys.frame_of(slot).expect("indexed slot");
-                (slot, frame)
-            })
-            .collect();
+        let mut shared = std::mem::take(&mut self.frame_slots);
+        let valid = self.cpus[cpu].cache.iter_valid();
+        shared.extend(valid.filter(|(_, _, flags)| !flags.exclusive).map(|(slot, ..)| slot));
         let scanned = self.cpus[cpu].cache.valid_count() as u64;
         t += per_slot * scanned;
-        for (slot, frame) in shared {
+        for slot in shared.drain(..) {
+            let frame = self.cpus[cpu].phys.frame_of(slot).expect("indexed slot");
             self.cpus[cpu].cache.invalidate(slot);
             self.cpus[cpu].phys.remove(frame, slot);
             self.cpus[cpu].stats.invalidations += 1;
@@ -952,15 +931,11 @@ impl Machine {
                 self.cpus[cpu].monitor.table_mut().set(frame, ActionCode::Ignore);
             }
         }
+        self.frame_slots = shared;
         self.cpus[cpu].monitor.drain();
         self.cpus[cpu].monitor.clear_overflow();
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.cpu_event(
-                cpu,
-                t0,
-                EventKind::FifoRecovery { dur: t.saturating_sub(t0), scanned: scanned as u32 },
-            );
-        }
+        let (dur, scanned) = (t.saturating_sub(t0), scanned as u32);
+        self.probe(|_| Probe::Cpu(cpu, t0, EventKind::FifoRecovery { dur, scanned }));
         t
     }
 
@@ -1137,24 +1112,9 @@ impl Machine {
         } else {
             self.bus.duration(kind)
         };
-        let start = self.bus.reserve(t, dur);
-        self.bus.complete(kind, dur);
-        let end = start + dur;
-        if let Some(o) = self.obs.as_deref_mut() {
-            let wait = start.saturating_sub(t);
-            o.arb_wait.record(wait);
-            o.bus_event(
-                start,
-                EventKind::BusTx {
-                    kind,
-                    frame: FrameNum::new(pa.raw() / self.config.cache.page_size().bytes()),
-                    issuer: self.cpus[cpu].id,
-                    wait,
-                    dur,
-                    aborted: false,
-                },
-            );
-        }
+        let frame = FrameNum::new(pa.raw() / self.page_size().bytes());
+        let tx = BusTransaction::new(kind, frame, self.cpus[cpu].id);
+        let end = self.occupy(tx, t, dur, 0) + dur;
         self.cpus[cpu].stats.refs += 1;
         self.cpus[cpu].stats.useful_time += end.saturating_sub(t);
         let result = if tas {
@@ -1265,20 +1225,8 @@ impl Machine {
     fn data_op(&mut self, cpu: usize, slot: SlotId, va: VirtAddr, op: Op) -> OpResult {
         let page = self.page_size();
         let offset = (page.offset_of(va.raw()) & !3) as usize;
-        let asid = self.cpus[cpu].asid;
-        if let Some(o) = self.obs.as_deref_mut() {
-            if let Some(a) = o.attrib_mut() {
-                let write = matches!(op, Op::Write(..) | Op::Tas(_));
-                a.record_touch(
-                    asid,
-                    page.vpn_of(va),
-                    cpu,
-                    offset as u32,
-                    page.bytes() as u32,
-                    write,
-                );
-            }
-        }
+        let (asid, write) = (self.cpus[cpu].asid, matches!(op, Op::Write(..) | Op::Tas(_)));
+        self.probe(|_| Probe::Touch { cpu, asid, va, page, write });
         self.cpus[cpu].stats.refs += 1;
         self.cpus[cpu].zero_yield_acquires = 0;
         match op {
@@ -1304,19 +1252,12 @@ impl Machine {
     /// Issues (or re-issues) the assert-ownership transaction of a write
     /// upgrade.
     fn issue_upgrade(&mut self, cpu: usize, cont: UpgradeCont, t: Nanos) -> Exec {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.cpu_event(cpu, t, EventKind::MissBegin { cause: MissCause::Upgrade });
-        }
+        let cause = MissCause::Upgrade;
+        self.probe(|_| Probe::Cpu(cpu, t, EventKind::MissBegin { cause }));
         let tx = BusTransaction::new(BusTxKind::AssertOwnership, cont.frame, self.cpus[cpu].id);
         let (end, ok) = self.bus_transaction(tx, t);
         if !ok {
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.cpu_event(
-                    cpu,
-                    end,
-                    EventKind::MissEnd { cause: MissCause::Upgrade, completed: false },
-                );
-            }
+            self.probe(|_| Probe::Cpu(cpu, end, EventKind::MissEnd { cause, completed: false }));
             let at = self.retry_at(cpu, end);
             return Exec::Retry(at, PendingWork::UpgradeTx(cont));
         }
@@ -1327,19 +1268,8 @@ impl Machine {
         self.cpus[cpu].monitor.table_mut().set(cont.frame, ActionCode::Protect);
         self.cpus[cpu].zero_yield_acquires += 1;
         self.cpus[cpu].stats.stall_time += end.saturating_sub(t);
-        let asid = self.cpus[cpu].asid;
-        let vpn = self.page_size().vpn_of(cont.va);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.cpu_event(
-                cpu,
-                end,
-                EventKind::MissEnd { cause: MissCause::Upgrade, completed: true },
-            );
-            o.miss_service.record(end.saturating_sub(t));
-            if let Some(a) = o.attrib_mut() {
-                a.record_service(asid, vpn, end.saturating_sub(t));
-            }
-        }
+        let (asid, vpn, dur) = (self.cpus[cpu].asid, self.page_size().vpn_of(cont.va), end - t);
+        self.probe(|_| Probe::Served { cpu, at: end, cause, asid, vpn, dur });
         self.finish_access(cpu, cont.op, cont.va, cont.slot, end)
     }
 
@@ -1362,29 +1292,20 @@ impl Machine {
     /// Resumes a miss whose block-fetch transaction was aborted: re-issue
     /// just the transaction (§3.2) into the already-reserved victim slot.
     fn resume_fetch(&mut self, cpu: usize, cont: FetchCont, t: Nanos) -> Exec {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.cpu_event(cpu, t, EventKind::MissBegin { cause: cont.cause });
-        }
+        let cause = cont.cause;
+        self.probe(|_| Probe::Cpu(cpu, t, EventKind::MissBegin { cause }));
         let kind = if cont.want_private { BusTxKind::ReadPrivate } else { BusTxKind::ReadShared };
         let tx = BusTransaction::new(kind, cont.frame, self.cpus[cpu].id);
         let (end, ok) = self.bus_transaction(tx, t);
         if !ok {
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.cpu_event(cpu, end, EventKind::MissEnd { cause: cont.cause, completed: false });
-            }
+            self.probe(|_| Probe::Cpu(cpu, end, EventKind::MissEnd { cause, completed: false }));
             let at = self.retry_at(cpu, end);
             return Exec::Retry(at, PendingWork::FetchTx(cont));
         }
         let slot = self.install_fetched(cpu, &cont);
         self.cpus[cpu].stats.stall_time += end.saturating_sub(t);
-        let vpn = self.page_size().vpn_of(cont.va);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.cpu_event(cpu, end, EventKind::MissEnd { cause: cont.cause, completed: true });
-            o.miss_service.record(end.saturating_sub(t));
-            if let Some(a) = o.attrib_mut() {
-                a.record_service(cont.asid, vpn, end.saturating_sub(t));
-            }
-        }
+        let (asid, vpn, dur) = (cont.asid, self.page_size().vpn_of(cont.va), end - t);
+        self.probe(|_| Probe::Served { cpu, at: end, cause, asid, vpn, dur });
         self.finish_access(cpu, cont.op, cont.va, slot, end)
     }
 
@@ -1421,11 +1342,7 @@ impl Machine {
             if cont.want_private { ActionCode::Protect } else { ActionCode::InterruptOnOwnership };
         self.cpus[cpu].monitor.table_mut().set(cont.frame, code);
         self.cpus[cpu].zero_yield_acquires += 1;
-        if let Some(o) = self.obs.as_deref_mut() {
-            if let Some(a) = o.attrib_mut() {
-                a.map_frame(cont.frame, cont.asid, vpn);
-            }
-        }
+        self.probe(|_| Probe::Mapped(cont.frame, cont.asid, vpn));
         cont.slot
     }
 
@@ -1444,9 +1361,7 @@ impl Machine {
         depth: u8,
     ) -> Result<FetchOutcome, MachineError> {
         let t_begin = t;
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.cpu_event(cpu, t_begin, EventKind::MissBegin { cause });
-        }
+        self.probe(|_| Probe::Cpu(cpu, t, EventKind::MissBegin { cause }));
         let t = t + self.config.cpu.miss_pre;
 
         // --- Translation, charging PTE cache traffic (§2). ---
@@ -1454,9 +1369,7 @@ impl Machine {
         let (frame, t) = match self.resolve_frame(cpu, asid, vpn, va, t, depth)? {
             ResolveOutcome::Frame(frame, t) => (frame, t),
             ResolveOutcome::Restart(at) => {
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.cpu_event(cpu, at, EventKind::MissEnd { cause, completed: false });
-                }
+                self.probe(|_| Probe::Cpu(cpu, at, EventKind::MissEnd { cause, completed: false }));
                 return Ok(FetchOutcome::Restart(at));
             }
         };
@@ -1467,26 +1380,12 @@ impl Machine {
         let mut wb_end = t;
         if victim.evicted.is_some() {
             let vframe = self.cpus[cpu].phys.frame_of(slot).expect("victim is indexed");
-            let modified = self.cpus[cpu].cache.flags(slot).modified;
-            if modified {
-                // The page leaves the cache before the slot is zeroed; the
-                // write-back transaction below touches neither memory nor
-                // caches, so copying first changes nothing it sees.
-                let bytes = self.cpus[cpu].cache.read(slot, 0, self.page_bytes());
-                self.memory.write_frame(vframe, bytes);
+            // The page leaves the cache before the slot is zeroed.
+            if self.cpus[cpu].cache.flags(slot).modified {
+                wb_end = self.write_back(cpu, slot, vframe, t);
             }
             self.cpus[cpu].cache.invalidate(slot).expect("victim is valid");
             self.cpus[cpu].phys.remove(vframe, slot);
-            if modified {
-                let tx = BusTransaction::new(BusTxKind::WriteBack, vframe, self.cpus[cpu].id);
-                let (end, ok) = self.bus_transaction(tx, t);
-                debug_assert!(ok, "own write-back must not abort");
-                self.cpus[cpu].stats.writebacks += 1;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.cpu_event(cpu, end, EventKind::WriteBack { frame: vframe });
-                }
-                wb_end = end;
-            }
             if self.cpus[cpu].phys.slots(vframe).is_empty() {
                 self.cpus[cpu].monitor.table_mut().set(vframe, ActionCode::Ignore);
             }
@@ -1498,23 +1397,15 @@ impl Machine {
         let tx = BusTransaction::new(kind, frame, self.cpus[cpu].id);
         let (end, ok) = self.bus_transaction(tx, t);
         if !ok {
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.cpu_event(cpu, end, EventKind::MissEnd { cause, completed: false });
-            }
+            self.probe(|_| Probe::Cpu(cpu, end, EventKind::MissEnd { cause, completed: false }));
             let at = self.retry_at(cpu, end);
             return Ok(FetchOutcome::TxAborted { at, frame, slot });
         }
         let cont = FetchCont { op: Op::Halt, asid, va, want_private, cause, frame, slot };
         let slot = self.install_fetched(cpu, &cont);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.cpu_event(cpu, end, EventKind::MissEnd { cause, completed: true });
-            if depth == 0 {
-                o.miss_service.record(end.saturating_sub(t_begin));
-                if let Some(a) = o.attrib_mut() {
-                    a.record_service(asid, vpn, end.saturating_sub(t_begin));
-                }
-            }
-        }
+        // A nested (depth 1) miss is always a `Pte` miss, which the
+        // recorder leaves to its enclosing miss's service time.
+        self.probe(|_| Probe::Served { cpu, at: end, cause, asid, vpn, dur: end - t_begin });
         Ok(FetchOutcome::Loaded { slot, end })
     }
 
@@ -1576,11 +1467,7 @@ impl Machine {
         };
         // Teach attribution the frame's identity *before* the block
         // fetch, so even a page's very first transaction attributes.
-        if let Some(o) = self.obs.as_deref_mut() {
-            if let Some(a) = o.attrib_mut() {
-                a.map_frame(frame, asid, vpn);
-            }
-        }
+        self.probe(|_| Probe::Mapped(frame, asid, vpn));
         Ok(ResolveOutcome::Frame(frame, t))
     }
 
@@ -1922,42 +1809,16 @@ impl Machine {
                 // Transient copier errors on the DMA stream: bounded
                 // retry, each failed attempt costs one transfer time.
                 let failures = self.fault_hook.copier_failures(t, &tx);
-                let dur = if failures > 0 {
-                    let total = self
-                        .memory
-                        .timings()
-                        .page_transfer_with_retries(self.page_size(), failures);
-                    let extra = total.saturating_sub(self.memory.page_transfer_time());
-                    self.fault_stats.copier_retries += u64::from(failures);
-                    self.fault_stats.copier_retry_time += extra;
-                    total
-                } else {
-                    self.memory.page_transfer_time()
-                };
-                let start = self.bus.reserve(t, dur);
-                self.bus.complete(kind, dur);
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.arb_wait.record(start.saturating_sub(t));
-                    o.bus_event(
-                        start,
-                        EventKind::Copier {
-                            frame,
-                            issuer: self.dmas[handle].id,
-                            dur,
-                            write: write_to_mem,
-                        },
-                    );
-                    if failures > 0 {
-                        o.bus_event(start, EventKind::Fault { class: FaultClass::CopierRetry });
-                    }
-                }
+                let dur =
+                    self.memory.timings().page_transfer_with_retries(self.page_size(), failures);
+                self.fault_stats.copier_retries += u64::from(failures);
+                self.fault_stats.copier_retry_time += dur - self.memory.page_transfer_time();
+                let start = self.occupy(tx, t, dur, failures);
+                let dma = &mut self.dmas[handle];
                 if write_to_mem {
-                    let bytes =
-                        self.dmas[handle].request.data[idx * page..(idx + 1) * page].to_vec();
-                    self.memory.write_frame(frame, &bytes);
+                    self.memory.write_frame(frame, &dma.request.data[idx * page..][..page]);
                 } else {
-                    let bytes = self.memory.read_frame(frame);
-                    self.dmas[handle].buffer.extend_from_slice(&bytes);
+                    dma.buffer.extend_from_slice(self.memory.read(frame, 0, page));
                 }
                 // Monitors ignore plain transfers, but observe them anyway
                 // for completeness (no action-table code reacts).
@@ -1983,6 +1844,16 @@ impl Machine {
             }
             DmaPhase::Done => {}
         }
+    }
+}
+
+/// The processors' clocks as the per-event sample reads them.
+struct Clocks<'a>(&'a [Cpu]);
+
+impl CpuClocks for Clocks<'_> {
+    fn clocks(&self, cpu: usize) -> (Nanos, Nanos) {
+        let s = &self.0[cpu].stats;
+        (s.useful_time, s.stall_time)
     }
 }
 

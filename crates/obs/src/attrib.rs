@@ -22,7 +22,7 @@
 //! the program, not the page geometry).
 //!
 //! Attribution is read-only and deterministic: it is fed from the same
-//! instrumentation sites as the event rings, allocates only when
+//! machine probes as the event rings, allocates only when
 //! [`ObsConfig::attrib`](crate::ObsConfig#structfield.attrib) is set,
 //! and never feeds back into simulation state.
 
@@ -439,8 +439,9 @@ pub struct AttribSummary {
 /// The contention attribution table.
 ///
 /// Owned by [`MachineObs`](crate::MachineObs) when
-/// [`ObsConfig::attrib`](crate::ObsConfig#structfield.attrib) is set;
-/// the machine feeds it from the same sites as the event rings.
+/// [`ObsConfig::attrib`](crate::ObsConfig#structfield.attrib) is set,
+/// and fed by [`MachineObs::record`](crate::MachineObs::record) from
+/// the same probes as the event rings.
 ///
 /// Bus transactions address *frames*, but attribution is per
 /// ⟨ASID, virtual page⟩, so the table maintains its own frame → key
@@ -488,13 +489,8 @@ impl AttribTable {
     }
 
     /// Records that `frame` currently backs ⟨`asid`, `vpn`⟩.
-    pub fn map_frame(&mut self, frame: FrameNum, asid: Asid, vpn: VirtPageNum) {
+    pub(crate) fn map_frame(&mut self, frame: FrameNum, asid: Asid, vpn: VirtPageNum) {
         self.frames.insert(frame, PageKey { asid, vpn });
-    }
-
-    /// The key a frame is currently attributed to.
-    pub fn frame_key(&self, frame: FrameNum) -> Option<PageKey> {
-        self.frames.get(&frame).copied()
     }
 
     /// Accounts one arbitrated bus transaction (completed or aborted).
@@ -502,7 +498,7 @@ impl AttribTable {
     /// Kinds outside [`TxClass`] are ignored. `at` is the time the
     /// transaction left the bus (its completion), which is what the
     /// ping-pong window measures.
-    pub fn record_tx(
+    pub(crate) fn record_tx(
         &mut self,
         frame: FrameNum,
         issuer: usize,
@@ -519,18 +515,13 @@ impl AttribTable {
             }
             return;
         };
-        let cpus = self.cpus;
-        let ring_cap = self.ring_cap;
         let window = self.window;
-        self.pages
-            .entry(key)
-            .or_insert_with(|| PageStats::new(cpus, ring_cap))
-            .record_tx(issuer, class, aborted, at, window);
+        self.page_mut(key).record_tx(issuer, class, aborted, at, window);
     }
 
     /// Accounts one word access by a CPU, updating its sub-page tenure
     /// footprint (used to classify bounces as true vs. false sharing).
-    pub fn record_touch(
+    pub(crate) fn record_touch(
         &mut self,
         asid: Asid,
         vpn: VirtPageNum,
@@ -539,24 +530,20 @@ impl AttribTable {
         page_bytes: u32,
         write: bool,
     ) {
-        let cpus = self.cpus;
-        let ring_cap = self.ring_cap;
-        self.pages
-            .entry(PageKey { asid, vpn })
-            .or_insert_with(|| PageStats::new(cpus, ring_cap))
-            .record_touch(cpu, offset, page_bytes, write);
+        self.page_mut(PageKey { asid, vpn }).record_touch(cpu, offset, page_bytes, write);
     }
 
     /// Attributes one completed miss/upgrade service to a page.
-    pub fn record_service(&mut self, asid: Asid, vpn: VirtPageNum, dur: Nanos) {
-        let cpus = self.cpus;
-        let ring_cap = self.ring_cap;
-        let p = self
-            .pages
-            .entry(PageKey { asid, vpn })
-            .or_insert_with(|| PageStats::new(cpus, ring_cap));
+    pub(crate) fn record_service(&mut self, asid: Asid, vpn: VirtPageNum, dur: Nanos) {
+        let p = self.page_mut(PageKey { asid, vpn });
         p.service += dur;
         p.serviced += 1;
+    }
+
+    /// The record for `key`, created on first activity.
+    fn page_mut(&mut self, key: PageKey) -> &mut PageStats {
+        let (cpus, ring_cap) = (self.cpus, self.ring_cap);
+        self.pages.entry(key).or_insert_with(|| PageStats::new(cpus, ring_cap))
     }
 
     /// The accounting record for one page, if any activity was seen.

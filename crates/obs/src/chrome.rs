@@ -90,7 +90,7 @@ fn render(e: &crate::event::Event, tid: usize) -> Value {
         EventKind::Retry { streak } => base("retry", "miss", "i", tid, e.at)
             .set("s", "t")
             .set("args", Value::obj().set("streak", streak)),
-        EventKind::IrqBegin { pending } => base("irq-service", "irq", "B", tid, e.at)
+        EventKind::IrqBegin { pending, .. } => base("irq-service", "irq", "B", tid, e.at)
             .set("args", Value::obj().set("pending", pending)),
         EventKind::IrqEnd { serviced } => base("irq-service", "irq", "E", tid, e.at)
             .set("args", Value::obj().set("serviced", serviced)),
@@ -108,7 +108,7 @@ fn render(e: &crate::event::Event, tid: usize) -> Value {
                     .set("aborted", aborted),
             )
         }
-        EventKind::Copier { frame, issuer, dur, write } => {
+        EventKind::Copier { frame, issuer, dur, write, .. } => {
             base("copier", "dma", "X", tid, e.at).set("dur", us(dur)).set(
                 "args",
                 Value::obj()
@@ -124,7 +124,7 @@ fn render(e: &crate::event::Event, tid: usize) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, MissCause};
+    use crate::event::{EventKind, MissCause, Probe};
     use crate::json::parse;
     use crate::recorder::ObsConfig;
     use vmp_bus::{BusTxKind, FaultClass};
@@ -133,24 +133,18 @@ mod tests {
     #[test]
     fn trace_has_tracks_and_parses() {
         let mut obs = MachineObs::new(&ObsConfig::on(), 2);
-        obs.cpu_event(0, Nanos::from_ns(100), EventKind::MissBegin { cause: MissCause::Read });
-        obs.cpu_event(
-            0,
-            Nanos::from_ns(17_100),
-            EventKind::MissEnd { cause: MissCause::Read, completed: true },
-        );
-        obs.cpu_event(1, Nanos::from_ns(50), EventKind::Retry { streak: 1 });
-        obs.cpu_event(1, Nanos::from_ns(60), EventKind::FifoOverflow);
-        obs.cpu_event(
-            1,
-            Nanos::from_ns(70),
-            EventKind::FifoRecovery { dur: Nanos::from_ns(400), scanned: 32 },
-        );
-        obs.cpu_event(1, Nanos::from_ns(80), EventKind::IrqBegin { pending: 2 });
-        obs.cpu_event(1, Nanos::from_ns(90), EventKind::IrqEnd { serviced: 2 });
-        obs.cpu_event(1, Nanos::from_ns(95), EventKind::WriteBack { frame: FrameNum::new(7) });
-        obs.bus_event(
-            Nanos::from_ns(200),
+        let mut cpu = |cpu, ns, kind| obs.record(Probe::Cpu(cpu, Nanos::from_ns(ns), kind));
+        cpu(0, 100, EventKind::MissBegin { cause: MissCause::Read });
+        cpu(0, 17_100, EventKind::MissEnd { cause: MissCause::Read, completed: true });
+        cpu(1, 50, EventKind::Retry { streak: 1 });
+        cpu(1, 60, EventKind::FifoOverflow);
+        cpu(1, 70, EventKind::FifoRecovery { dur: Nanos::from_ns(400), scanned: 32 });
+        cpu(1, 80, EventKind::IrqBegin { pending: 2, waited: None });
+        cpu(1, 90, EventKind::IrqEnd { serviced: 2 });
+        cpu(1, 95, EventKind::WriteBack { frame: FrameNum::new(7) });
+        let mut bus = |ns, kind| obs.record(Probe::Bus(Nanos::from_ns(ns), kind));
+        bus(
+            200,
             EventKind::BusTx {
                 kind: BusTxKind::ReadShared,
                 frame: FrameNum::new(3),
@@ -160,16 +154,17 @@ mod tests {
                 aborted: false,
             },
         );
-        obs.bus_event(
-            Nanos::from_ns(9000),
+        bus(
+            9000,
             EventKind::Copier {
                 frame: FrameNum::new(4),
                 issuer: ProcessorId::new(8),
+                wait: Nanos::ZERO,
                 dur: Nanos::from_ns(6600),
                 write: true,
             },
         );
-        obs.bus_event(Nanos::from_ns(9100), EventKind::Fault { class: FaultClass::InjectedAbort });
+        bus(9100, EventKind::Fault { class: FaultClass::InjectedAbort });
 
         let text = chrome_trace(&obs).to_string();
         let doc = parse(&text).unwrap();

@@ -1,14 +1,15 @@
 //! The structured event taxonomy recorded by the machine.
 //!
-//! Events are small, `Copy`, and carry only what an exporter needs to
-//! reconstruct the timeline: recording one is a ring-buffer push, never
-//! an allocation. Per-processor tracks hold the software side of the
+//! Events are small, `Copy`, and carry only what the timeline and the
+//! derived metrics need: recording one is a ring-buffer push, never an
+//! allocation. Per-processor tracks hold the software side of the
 //! protocol (miss handling, interrupt service, recovery); the bus track
 //! holds every transaction that won arbitration, plus DMA copier
-//! transfers and injected faults.
+//! transfers and injected faults. The machine reports them as
+//! [`Probe`]s.
 
 use vmp_bus::{BusTxKind, FaultClass};
-use vmp_types::{FrameNum, Nanos, ProcessorId};
+use vmp_types::{Asid, FrameNum, Nanos, PageSize, ProcessorId, VirtAddr, VirtPageNum};
 
 /// Why a processor entered the miss path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,6 +75,10 @@ pub enum EventKind {
     IrqBegin {
         /// Words pending when service began.
         pending: u32,
+        /// How long the oldest unserviced word had waited, if the
+        /// board's attention clock was running (kept for the
+        /// interrupt-latency histogram; the timeline does not show it).
+        waited: Option<Nanos>,
     },
     /// The consistency-interrupt handler finished.
     IrqEnd {
@@ -110,6 +115,9 @@ pub enum EventKind {
         frame: FrameNum,
         /// The DMA engine's pseudo-processor id.
         issuer: ProcessorId,
+        /// Ready-to-grant wait (kept for the arbitration-wait histogram;
+        /// the timeline does not show it).
+        wait: Nanos,
         /// Bus occupancy of the transfer.
         dur: Nanos,
         /// Direction: `true` when writing into memory.
@@ -132,9 +140,90 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// What the machine reports at one of its chokepoints.
+///
+/// The machine only says what happened;
+/// [`MachineObs::record`](crate::MachineObs::record) decides which ring,
+/// histogram and attribution counter each report feeds. Most reports
+/// are a ring [`EventKind`] on a track, because the event already
+/// carries what the derived metrics read: a `BusTx` has the wait the
+/// arbitration histogram records and the frame, issuer and end
+/// (`at + dur`) attribution accounts. The other variants carry context
+/// the ring does not keep.
+#[derive(Debug, Clone, Copy)]
+pub enum Probe<'a> {
+    /// `Cpu(cpu, at, kind)`: event `kind` at `at` on processor `cpu`'s
+    /// track.
+    Cpu(usize, Nanos, EventKind),
+    /// `Bus(at, kind)`: event `kind` at `at` on the bus track.
+    Bus(Nanos, EventKind),
+    /// A miss or upgrade of ⟨`asid`, `vpn`⟩ completed: a completed
+    /// [`EventKind::MissEnd`] plus the page and the service time.
+    Served {
+        /// The processor.
+        cpu: usize,
+        /// When the handler returned.
+        at: Nanos,
+        /// Why the handler was entered.
+        cause: MissCause,
+        /// Address space of the page served.
+        asid: Asid,
+        /// Virtual page served.
+        vpn: VirtPageNum,
+        /// Time since the handler was entered.
+        dur: Nanos,
+    },
+    /// Processor `cpu` read or wrote the word at `va` in address space
+    /// `asid`, on `page`-sized cache pages.
+    Touch {
+        /// The processor.
+        cpu: usize,
+        /// Address space of the access.
+        asid: Asid,
+        /// Address accessed.
+        va: VirtAddr,
+        /// The cache-page size.
+        page: PageSize,
+        /// Whether the access wrote the word.
+        write: bool,
+    },
+    /// `Mapped(frame, asid, vpn)`: `frame` now backs ⟨`asid`, `vpn`⟩.
+    Mapped(FrameNum, Asid, VirtPageNum),
+    /// The sample after every delivered event: the bus's and every
+    /// processor's cumulative time so far.
+    Sample {
+        /// Simulated time of the sample.
+        now: Nanos,
+        /// The bus's cumulative busy time.
+        bus_busy: Nanos,
+        /// Every processor's cumulative useful and stall time.
+        cpus: &'a dyn CpuClocks,
+    },
+}
+
+/// Every processor's cumulative useful and stall time, which
+/// [`Probe::Sample`] reads.
+pub trait CpuClocks {
+    /// Processor `cpu`'s cumulative `(useful, stall)` time.
+    fn clocks(&self, cpu: usize) -> (Nanos, Nanos);
+}
+
+impl std::fmt::Debug for dyn CpuClocks + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CpuClocks")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fixed clocks for tests that feed samples by hand.
+    impl<const N: usize> CpuClocks for [(Nanos, Nanos); N] {
+        fn clocks(&self, cpu: usize) -> (Nanos, Nanos) {
+            self[cpu]
+        }
+    }
 
     #[test]
     fn cause_labels_are_distinct() {
@@ -155,6 +244,6 @@ mod tests {
     #[test]
     fn events_are_small() {
         // Recording must stay a cheap ring push; keep the event compact.
-        assert!(std::mem::size_of::<Event>() <= 64);
+        assert_eq!(std::mem::size_of::<Event>(), 48);
     }
 }

@@ -21,11 +21,16 @@
 //!   the gate behind `vmp-trace-tool compare`;
 //! * [`json`] — the std-only JSON writer/parser the exporters use.
 //!
+//! **One entry point.** The machine reports each of its chokepoints
+//! (bus transaction, miss, interrupt service, fault, word touch, ...)
+//! as one [`Probe`]; [`MachineObs::record`] alone decides which ring,
+//! histogram and attribution counter a report feeds.
+//!
 //! **Overhead guarantee.** The recorder is allocated only when
-//! [`ObsConfig::enabled`] is set; every instrumentation site in the
-//! machine reduces to one branch on an `Option` otherwise, and
-//! recording never feeds back into simulation state, so enabled and
-//! disabled runs are bit-identical in everything but the recording.
+//! [`ObsConfig::enabled`] is set; the machine's one probe helper
+//! reduces to a branch on an `Option` otherwise, and recording never
+//! feeds back into simulation state, so enabled and disabled runs are
+//! bit-identical in everything but the recording.
 //!
 //! [`Nanos`]: vmp_types::Nanos
 //! [`ObsConfig::enabled`]: crate::ObsConfig#structfield.enabled
@@ -33,17 +38,20 @@
 //! # Examples
 //!
 //! ```
-//! use vmp_obs::{EventKind, MachineObs, MissCause, ObsConfig};
-//! use vmp_types::Nanos;
+//! use vmp_obs::{EventKind, MachineObs, MissCause, ObsConfig, Probe};
+//! use vmp_types::{Asid, Nanos, VirtPageNum};
 //!
 //! let mut obs = MachineObs::new(&ObsConfig::on(), 1);
-//! obs.cpu_event(0, Nanos::from_us(10), EventKind::MissBegin { cause: MissCause::Read });
-//! obs.cpu_event(
-//!     0,
-//!     Nanos::from_us(27),
-//!     EventKind::MissEnd { cause: MissCause::Read, completed: true },
-//! );
-//! obs.miss_service.record(Nanos::from_us(17));
+//! let cause = MissCause::Read;
+//! obs.record(Probe::Cpu(0, Nanos::from_us(10), EventKind::MissBegin { cause }));
+//! obs.record(Probe::Served {
+//!     cpu: 0,
+//!     at: Nanos::from_us(27),
+//!     cause,
+//!     asid: Asid::new(1),
+//!     vpn: VirtPageNum::new(4),
+//!     dur: Nanos::from_us(17),
+//! });
 //!
 //! let trace = vmp_obs::chrome_trace(&obs).to_string();
 //! assert!(trace.contains("\"traceEvents\""));
@@ -73,7 +81,7 @@ pub use attrib::{
 };
 pub use chrome::chrome_trace;
 pub use compare::{compare_metrics, CompareOutcome, CompareThresholds};
-pub use event::{Event, EventKind, MissCause};
+pub use event::{CpuClocks, Event, EventKind, MissCause, Probe};
 pub use metrics::{histogram_json, metrics_json};
 pub use recorder::{EventRing, MachineObs, ObsConfig};
 pub use series::{TimeSeries, MAX_WINDOWS};

@@ -96,17 +96,30 @@ pub fn metrics_json(obs: &MachineObs, elapsed: Nanos) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{EventKind, MissCause, Probe};
     use crate::json::parse;
     use crate::recorder::ObsConfig;
+    use vmp_types::{Asid, FrameNum, ProcessorId, VirtPageNum};
 
     #[test]
     fn metrics_document_shape() {
         let mut obs = MachineObs::new(&ObsConfig::on(), 2);
-        obs.miss_service.record(Nanos::from_us(17));
-        obs.miss_service.record(Nanos::from_us(36));
-        obs.arb_wait.record(Nanos::from_ns(100));
-        obs.sample_cpu(0, Nanos::from_us(10), Nanos::from_us(6), Nanos::from_us(2));
-        obs.sample_bus(Nanos::from_us(10), Nanos::from_us(3));
+        let (asid, vpn) = (Asid::new(1), VirtPageNum::new(4));
+        for us in [17, 36] {
+            let (at, dur) = (Nanos::from_us(us), Nanos::from_us(us));
+            obs.record(Probe::Served { cpu: 0, at, cause: MissCause::Read, asid, vpn, dur });
+        }
+        let copier = EventKind::Copier {
+            frame: FrameNum::new(4),
+            issuer: ProcessorId::new(2),
+            wait: Nanos::from_ns(100),
+            dur: Nanos::from_ns(600),
+            write: true,
+        };
+        obs.record(Probe::Bus(Nanos::ZERO, copier));
+        let (now, bus_busy) = (Nanos::from_us(10), Nanos::from_us(3));
+        let cpus = [(Nanos::from_us(6), Nanos::from_us(2)), (Nanos::ZERO, Nanos::ZERO)];
+        obs.record(Probe::Sample { now, bus_busy, cpus: &cpus });
 
         let text = metrics_json(&obs, Nanos::from_ms(2)).to_string();
         let doc = parse(&text).unwrap();
@@ -141,7 +154,9 @@ mod tests {
     fn efficiency_null_for_idle_windows() {
         let mut obs = MachineObs::new(&ObsConfig::on(), 1);
         // Activity only in window 2.
-        obs.sample_cpu(0, Nanos::from_ms(2) + Nanos::from_us(1), Nanos::from_us(5), Nanos::ZERO);
+        let now = Nanos::from_ms(2) + Nanos::from_us(1);
+        let useful = Nanos::from_us(5);
+        obs.record(Probe::Sample { now, bus_busy: Nanos::ZERO, cpus: &[(useful, Nanos::ZERO)] });
         let doc = parse(&metrics_json(&obs, Nanos::from_ms(3)).to_string()).unwrap();
         let eff =
             doc.get("processors").unwrap().as_arr().unwrap()[0].get("efficiency").unwrap().clone();

@@ -2,20 +2,21 @@
 
 use std::collections::VecDeque;
 
+use vmp_bus::FaultClass;
 use vmp_sim::Log2Histogram;
 use vmp_types::Nanos;
 
 use crate::attrib::AttribTable;
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, MissCause, Probe};
 use crate::series::TimeSeries;
 
 /// Observability configuration, carried inside the machine config.
 ///
 /// With `enabled == false` (the default) the machine allocates no
-/// recorder at all and every instrumentation site reduces to one
-/// branch on a `None` option — runs are bit-identical to a build
-/// without the observability layer, because recording only ever *reads*
-/// simulator state.
+/// recorder at all and its one probe helper reduces to a branch on a
+/// `None` option — runs are bit-identical to a build without the
+/// observability layer, because recording only ever *reads* simulator
+/// state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Whether to record events and derived metrics at all.
@@ -149,7 +150,8 @@ struct CpuTrack {
 /// ring for the bus, three latency histograms, and the windowed series.
 ///
 /// The machine owns one of these (boxed, behind an `Option` so the
-/// disabled path is a single branch) and drives it; exporters read it.
+/// disabled path is a single branch) and feeds it [`Probe`]s through
+/// [`MachineObs::record`]; exporters read it.
 #[derive(Debug, Clone)]
 pub struct MachineObs {
     /// Service time of completed top-level misses and upgrades (the
@@ -199,11 +201,6 @@ impl MachineObs {
         self.attrib.as_deref()
     }
 
-    /// Mutable access for the machine's instrumentation sites.
-    pub fn attrib_mut(&mut self) -> Option<&mut AttribTable> {
-        self.attrib.as_deref_mut()
-    }
-
     /// Number of processor tracks.
     pub fn processors(&self) -> usize {
         self.cpus.len()
@@ -214,31 +211,83 @@ impl MachineObs {
         self.window
     }
 
-    /// Records an event on a processor track.
-    pub fn cpu_event(&mut self, cpu: usize, at: Nanos, kind: EventKind) {
-        self.cpus[cpu].ring.push(Event { at, kind });
-    }
-
-    /// Records an event on the bus track.
-    pub fn bus_event(&mut self, at: Nanos, kind: EventKind) {
-        self.bus_ring.push(Event { at, kind });
-    }
-
-    /// Folds a processor's cumulative useful/stall counters into the
-    /// windowed series; the delta since the last sample is attributed
-    /// to the window containing `now`.
-    pub fn sample_cpu(&mut self, cpu: usize, now: Nanos, useful: Nanos, stall: Nanos) {
-        let t = &mut self.cpus[cpu];
-        t.useful.add(now, useful.saturating_sub(t.last_useful));
-        t.stall.add(now, stall.saturating_sub(t.last_stall));
-        t.last_useful = useful;
-        t.last_stall = stall;
-    }
-
-    /// Folds the bus's cumulative busy time into the windowed series.
-    pub fn sample_bus(&mut self, now: Nanos, busy: Nanos) {
-        self.bus_busy.add(now, busy.saturating_sub(self.last_bus_busy));
-        self.last_bus_busy = busy;
+    /// Records one report from the machine: pushes its ring events and
+    /// feeds every derived metric it implies.
+    ///
+    /// Always inlined: each call site reports one known variant, so the
+    /// match folds to the one arm that site feeds.
+    #[inline(always)]
+    pub fn record(&mut self, probe: Probe<'_>) {
+        match probe {
+            Probe::Cpu(cpu, at, kind) => {
+                self.cpus[cpu].ring.push(Event { at, kind });
+                match kind {
+                    EventKind::IrqBegin { waited: Some(waited), .. } => {
+                        self.irq_latency.record(waited);
+                    }
+                    // An injected drop or forced overflow raises the
+                    // sticky flag exactly as a real overflow does.
+                    EventKind::Fault {
+                        class: FaultClass::DroppedWord | FaultClass::ForcedOverflow,
+                    } => self.cpus[cpu].ring.push(Event { at, kind: EventKind::FifoOverflow }),
+                    _ => {}
+                }
+            }
+            Probe::Bus(at, kind) => {
+                self.bus_ring.push(Event { at, kind });
+                match kind {
+                    EventKind::BusTx { kind, frame, issuer, wait, dur, aborted } => {
+                        // An aborted transaction never waited for a slot.
+                        if !aborted {
+                            self.arb_wait.record(wait);
+                        }
+                        // Every tracked kind flows through here, so the
+                        // table's per-class totals match the bus's own.
+                        if let Some(a) = self.attrib.as_deref_mut() {
+                            a.record_tx(frame, issuer.index(), kind, aborted, at + dur);
+                        }
+                    }
+                    EventKind::Copier { wait, .. } => self.arb_wait.record(wait),
+                    _ => {}
+                }
+            }
+            Probe::Served { cpu, at, cause, asid, vpn, dur } => {
+                let kind = EventKind::MissEnd { cause, completed: true };
+                self.cpus[cpu].ring.push(Event { at, kind });
+                // A nested PTE miss is part of its enclosing miss's
+                // service, which is timed (and attributed) once.
+                if cause != MissCause::Pte {
+                    self.miss_service.record(dur);
+                    if let Some(a) = self.attrib.as_deref_mut() {
+                        a.record_service(asid, vpn, dur);
+                    }
+                }
+            }
+            Probe::Touch { cpu, asid, va, page, write } => {
+                if let Some(a) = self.attrib.as_deref_mut() {
+                    let offset = (page.offset_of(va.raw()) & !3) as u32;
+                    a.record_touch(asid, page.vpn_of(va), cpu, offset, page.bytes() as u32, write);
+                }
+            }
+            Probe::Mapped(frame, asid, vpn) => {
+                if let Some(a) = self.attrib.as_deref_mut() {
+                    a.map_frame(frame, asid, vpn);
+                }
+            }
+            // Deltas since the last sample land in the window containing
+            // `now`.
+            Probe::Sample { now, bus_busy, cpus } => {
+                self.bus_busy.add(now, bus_busy.saturating_sub(self.last_bus_busy));
+                self.last_bus_busy = bus_busy;
+                for (cpu, t) in self.cpus.iter_mut().enumerate() {
+                    let (useful, stall) = cpus.clocks(cpu);
+                    t.useful.add(now, useful.saturating_sub(t.last_useful));
+                    t.stall.add(now, stall.saturating_sub(t.last_stall));
+                    t.last_useful = useful;
+                    t.last_stall = stall;
+                }
+            }
+        }
     }
 
     /// Events held on a processor track, oldest first.
@@ -296,7 +345,6 @@ impl MachineObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MissCause;
 
     #[test]
     fn default_config_is_disabled_but_valid() {
@@ -342,13 +390,31 @@ mod tests {
     #[test]
     fn sampling_accumulates_deltas() {
         let mut obs = MachineObs::new(&ObsConfig::on(), 2);
-        obs.sample_cpu(0, Nanos::from_us(100), Nanos::from_us(40), Nanos::from_us(10));
-        obs.sample_cpu(0, Nanos::from_us(200), Nanos::from_us(90), Nanos::from_us(30));
+        let us = Nanos::from_us;
+        let idle = (Nanos::ZERO, Nanos::ZERO);
+        obs.record(Probe::Sample {
+            now: us(100),
+            bus_busy: Nanos::ZERO,
+            cpus: &[(us(40), us(10)), idle],
+        });
+        obs.record(Probe::Sample {
+            now: us(200),
+            bus_busy: Nanos::ZERO,
+            cpus: &[(us(90), us(30)), idle],
+        });
         // Deltas land in the window containing the sample time (1 ms
         // windows: both samples fall in window 0).
         assert_eq!(obs.cpu_useful(0).total(0), Nanos::from_us(90));
         assert_eq!(obs.cpu_stall(0).total(0), Nanos::from_us(30));
-        obs.sample_bus(Nanos::from_ms(1) + Nanos::from_ns(1), Nanos::from_us(500));
+        let later = Nanos::from_ms(1) + Nanos::from_ns(1);
+        obs.record(Probe::Sample {
+            now: later,
+            bus_busy: us(500),
+            cpus: &[(us(90), us(30)), idle],
+        });
+        // Unchanged clocks add nothing; an idle processor has no windows.
+        assert_eq!(obs.cpu_useful(0).total(1), Nanos::ZERO);
+        assert_eq!(obs.cpu_useful(1).windows(), 0);
         assert_eq!(obs.bus_utilization().total(1), Nanos::from_us(500));
         assert!((obs.bus_utilization().fraction(1) - 0.5).abs() < 1e-12);
     }
@@ -356,12 +422,60 @@ mod tests {
     #[test]
     fn tracks_are_independent() {
         let mut obs = MachineObs::new(&ObsConfig::on(), 2);
-        obs.cpu_event(0, Nanos::ZERO, EventKind::FifoOverflow);
-        obs.bus_event(Nanos::ZERO, EventKind::FifoOverflow);
+        obs.record(Probe::Cpu(0, Nanos::ZERO, EventKind::FifoOverflow));
+        obs.record(Probe::Bus(Nanos::ZERO, EventKind::FifoOverflow));
         assert_eq!(obs.cpu_recorded(0), 1);
         assert_eq!(obs.cpu_recorded(1), 0);
         assert_eq!(obs.bus_recorded(), 1);
         assert_eq!(obs.total_dropped(), 0);
         assert_eq!(obs.processors(), 2);
+    }
+
+    #[test]
+    fn probes_feed_the_derived_metrics() {
+        use vmp_bus::BusTxKind;
+        use vmp_types::{Asid, FrameNum, ProcessorId, VirtPageNum};
+
+        let mut obs = MachineObs::new(&ObsConfig::with_attrib(), 1);
+        let (asid, vpn, frame) = (Asid::new(1), VirtPageNum::new(4), FrameNum::new(7));
+        obs.record(Probe::Mapped(frame, asid, vpn));
+        let tx = |aborted| EventKind::BusTx {
+            kind: BusTxKind::ReadPrivate,
+            frame,
+            issuer: ProcessorId::new(0),
+            wait: Nanos::from_ns(100),
+            dur: Nanos::from_ns(600),
+            aborted,
+        };
+        obs.record(Probe::Bus(Nanos::ZERO, tx(true)));
+        obs.record(Probe::Bus(Nanos::from_us(1), tx(false)));
+        // Only the transaction that won the bus waited for it; both are
+        // attributed to the mapped page.
+        assert_eq!(obs.arb_wait.count(), 1);
+        let page = obs.attrib().unwrap().page(crate::PageKey { asid, vpn }).unwrap();
+        assert_eq!((page.traffic(), page.aborts()), (1, 1));
+
+        let served = |cause| Probe::Served {
+            cpu: 0,
+            at: Nanos::ZERO,
+            cause,
+            asid,
+            vpn,
+            dur: Nanos::from_us(17),
+        };
+        obs.record(served(MissCause::Pte));
+        obs.record(served(MissCause::Read));
+        // The nested PTE miss closes its span but is not timed on its own.
+        assert_eq!(obs.miss_service.count(), 1);
+        assert_eq!(obs.cpu_recorded(0), 2);
+
+        let waited = Some(Nanos::from_us(3));
+        obs.record(Probe::Cpu(0, Nanos::ZERO, EventKind::IrqBegin { pending: 1, waited }));
+        assert_eq!(obs.irq_latency.count(), 1);
+        // A dropped word shows as an overflow on the track too.
+        let class = FaultClass::DroppedWord;
+        obs.record(Probe::Cpu(0, Nanos::ZERO, EventKind::Fault { class }));
+        let last: Vec<EventKind> = obs.cpu_events(0).skip(3).map(|e| e.kind).collect();
+        assert_eq!(last, [EventKind::Fault { class }, EventKind::FifoOverflow]);
     }
 }

@@ -3,22 +3,23 @@
 //! The miss, write-back and invalidation paths copy pages in place and
 //! reuse their buffers, so a run allocates almost nothing per
 //! reference. A counting global allocator measures the allocations made
-//! inside `Machine::run` (not `build`) on two machines — the §5.4
+//! inside `Machine::run` (not `build`) on three machines — the §5.4
 //! contended mix, where nearly every reference is an ownership transfer,
-//! and a one-CPU trace replay — and bounds each per 1,000 references at
-//! about twice the count measured when the budget was set. A per-miss
-//! allocation anywhere on the path costs thousands per 1,000 references
-//! on the contended machine.
+//! a one-CPU trace replay, and a DMA device moving pages in and out of
+//! memory — and bounds each per 1,000 references (per transferred page
+//! for the device) at about twice the count measured when the budget
+//! was set. A per-miss allocation anywhere on the path costs thousands
+//! per 1,000 references on the contended machine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vmp::machine::scenarios::{observed_config, Scenario};
-use vmp::machine::{Machine, MachineConfig, TraceProgram};
+use vmp::machine::{DmaRequest, Machine, MachineConfig, TraceProgram};
 use vmp::trace::synth::{AtumParams, AtumWorkload};
 use vmp::trace::Trace;
-use vmp::types::Nanos;
+use vmp::types::{Asid, Nanos, VirtAddr};
 
 /// Allocations per 1,000 references allowed on the contended machine:
 /// about twice the 18.4 measured (32 over 1,738 references, the event
@@ -29,6 +30,13 @@ const CONTENDED_BUDGET: f64 = 37.0;
 /// over 100,000 references, mostly page tables and index entries for
 /// frames seen the first time). A copied page per miss measured 48.
 const TRACE_BUDGET: f64 = 12.5;
+/// Pages the DMA device writes into memory and then reads back.
+const DMA_PAGES: u64 = 32;
+/// Allocations per transferred page allowed on the DMA machine: about
+/// twice the 0.19 measured (12 over 64 pages, the protected-frame map
+/// and the event queue growing). A copied page per transfer measured
+/// 1.28.
+const DMA_BUDGET: f64 = 0.4;
 
 struct Counting;
 
@@ -108,6 +116,22 @@ fn miss_and_ownership_paths_stay_within_the_allocation_budget() {
     let trace = per_kref(allocs, refs);
     eprintln!("trace 1-cpu: {allocs} allocations over {refs} refs = {trace:.2}/kref");
 
+    // A device writes DMA_PAGES pages into memory, then reads them back
+    // into one capture buffer: the transfer phase copies each page in
+    // place.
+    let mut m = Machine::build(observed_config(1)).unwrap();
+    let page = m.page_size().bytes();
+    let frames: Vec<_> = (0..DMA_PAGES)
+        .map(|i| m.map_shared(&[(Asid::new(1), VirtAddr::new(0x10_0000 + i * page))]).unwrap())
+        .collect();
+    let data = vec![0x5a; (DMA_PAGES * page) as usize];
+    m.queue_dma(0, DmaRequest::to_memory(frames.clone(), data)).unwrap();
+    m.queue_dma(0, DmaRequest::from_memory(frames)).unwrap();
+    let (allocs, _) = allocs_in_run(m);
+    let dma = allocs as f64 / (2 * DMA_PAGES) as f64;
+    eprintln!("dma: {allocs} allocations over {} pages = {dma:.2}/page", 2 * DMA_PAGES);
+
     assert!(contended <= CONTENDED_BUDGET, "contended machine: {contended:.2} allocations/kref");
     assert!(trace <= TRACE_BUDGET, "trace machine: {trace:.2} allocations/kref");
+    assert!(dma <= DMA_BUDGET, "dma machine: {dma:.2} allocations/page");
 }
