@@ -229,10 +229,8 @@ via! { VmeBus as BusState {
 record! { struct FrameData<'a> { frame: FrameNum, data: Page<'a> } }
 via! { MainMemory as Vec<FrameData<'_>> {
     enc |mem| {
-        let page = |frame| Page(mem.read(frame, 0, mem.page_size().bytes() as usize).into());
-        let frames = (0..mem.frames()).map(FrameNum::new);
-        let frames = frames.map(|frame| FrameData { frame, data: page(frame) });
-        frames.filter(|f| f.data.0.iter().any(|&b| b != 0)).collect::<Vec<_>>()
+        let frames = mem.written_frames().filter(|(_, bytes)| bytes.iter().any(|&b| b != 0));
+        frames.map(|(frame, bytes)| FrameData { frame, data: Page(bytes.into()) }).collect::<Vec<_>>()
     },
     dec |mem, frames, _cx| {
         frames.into_iter().for_each(|f| mem.write_frame(f.frame, &f.data.0));

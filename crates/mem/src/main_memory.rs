@@ -27,16 +27,39 @@ use crate::MemTimings;
 #[derive(Debug, Clone)]
 pub struct MainMemory {
     page_size: PageSize,
-    data: Vec<u8>,
+    frames: u64,
+    /// Per frame: 1 + the index of its page in `pages`, or 0 while the
+    /// frame has never been written (it reads as zeros).
+    slots: Vec<u32>,
+    /// The written frames' bytes, one page each in first-write order.
+    pages: Vec<u8>,
+    /// One page of zeros: what an unwritten frame reads.
+    zeros: Box<[u8]>,
     timings: MemTimings,
 }
 
 impl MainMemory {
     /// Creates zeroed memory of `total_bytes`, rounded up to whole frames.
+    ///
+    /// Only frames that are written take up host memory: the rest read
+    /// as zeros. Room for every frame is reserved up front, so writes
+    /// never reallocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory has `u32::MAX` frames or more.
     pub fn new(page_size: PageSize, total_bytes: u64) -> Self {
         let frames = page_size.frames_in(total_bytes);
-        let data = vec![0u8; (frames * page_size.bytes()) as usize];
-        MainMemory { page_size, data, timings: MemTimings::default() }
+        assert!(frames < u64::from(u32::MAX), "{frames} frames is too many");
+        let page = page_size.bytes() as usize;
+        MainMemory {
+            page_size,
+            frames,
+            slots: vec![0; frames as usize],
+            pages: Vec::with_capacity(frames as usize * page),
+            zeros: vec![0; page].into_boxed_slice(),
+            timings: MemTimings::default(),
+        }
     }
 
     /// Creates memory with explicit transfer timings.
@@ -53,12 +76,12 @@ impl MainMemory {
 
     /// Number of frames.
     pub fn frames(&self) -> u64 {
-        self.data.len() as u64 / self.page_size.bytes()
+        self.frames
     }
 
     /// Total bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.data.len() as u64
+        self.frames * self.page_size.bytes()
     }
 
     /// The transfer timing model.
@@ -71,12 +94,11 @@ impl MainMemory {
         self.timings.page_transfer(self.page_size)
     }
 
-    fn frame_range(&self, frame: FrameNum, offset: usize, len: usize) -> std::ops::Range<usize> {
-        let page = self.page_size.bytes() as usize;
-        assert!(frame.raw() < self.frames(), "frame {frame} out of range");
-        assert!(offset + len <= page, "access crosses frame boundary");
-        let base = frame.index() * page;
-        base + offset..base + offset + len
+    /// Checks an access and returns the frame's slot entry.
+    fn slot(&self, frame: FrameNum, offset: usize, len: usize) -> u32 {
+        assert!(frame.raw() < self.frames, "frame {frame} out of range");
+        assert!(offset + len <= self.zeros.len(), "access crosses frame boundary");
+        self.slots[frame.index()]
     }
 
     /// Reads `len` bytes at `offset` within a frame.
@@ -86,12 +108,28 @@ impl MainMemory {
     /// Panics if the frame is out of range or the access crosses the
     /// frame boundary.
     pub fn read(&self, frame: FrameNum, offset: usize, len: usize) -> &[u8] {
-        &self.data[self.frame_range(frame, offset, len)]
+        match self.slot(frame, offset, len) {
+            0 => &self.zeros[offset..offset + len],
+            slot => {
+                let base = (slot - 1) as usize * self.zeros.len();
+                &self.pages[base + offset..base + offset + len]
+            }
+        }
     }
 
     /// Returns a copy of one whole frame (the unit a block transfer moves).
     pub fn read_frame(&self, frame: FrameNum) -> Vec<u8> {
         self.read(frame, 0, self.page_size.bytes() as usize).to_vec()
+    }
+
+    /// Every frame that has been written, in ascending frame order, with
+    /// its bytes. The frames left out read as zeros.
+    pub fn written_frames(&self) -> impl Iterator<Item = (FrameNum, &[u8])> + '_ {
+        let page = self.zeros.len();
+        let written = self.slots.iter().enumerate().filter(|&(_, &slot)| slot != 0);
+        written.map(move |(frame, &slot)| {
+            (FrameNum::new(frame as u64), &self.pages[(slot - 1) as usize * page..][..page])
+        })
     }
 
     /// Writes bytes at `offset` within a frame.
@@ -101,8 +139,18 @@ impl MainMemory {
     /// Panics if the frame is out of range or the access crosses the
     /// frame boundary.
     pub fn write(&mut self, frame: FrameNum, offset: usize, bytes: &[u8]) {
-        let r = self.frame_range(frame, offset, bytes.len());
-        self.data[r].copy_from_slice(bytes);
+        let page = self.zeros.len();
+        let slot = match self.slot(frame, offset, bytes.len()) {
+            0 => {
+                self.pages.extend_from_slice(&self.zeros);
+                let slot = (self.pages.len() / page) as u32;
+                self.slots[frame.index()] = slot;
+                slot
+            }
+            slot => slot,
+        };
+        let base = (slot - 1) as usize * page + offset;
+        self.pages[base..base + bytes.len()].copy_from_slice(bytes);
     }
 
     /// Replaces one whole frame (a write-back block transfer).
@@ -115,14 +163,18 @@ impl MainMemory {
         self.write(frame, 0, bytes);
     }
 
-    /// Zero-fills one whole frame in place (a demand-zero page).
+    /// Zero-fills one whole frame in place (a demand-zero page). A frame
+    /// never written is already zero and stays unwritten.
     ///
     /// # Panics
     ///
     /// Panics if the frame is out of range.
     pub fn zero_frame(&mut self, frame: FrameNum) {
-        let r = self.frame_range(frame, 0, self.page_size.bytes() as usize);
-        self.data[r].fill(0);
+        let page = self.zeros.len();
+        if let slot @ 1.. = self.slot(frame, 0, page) {
+            let base = (slot - 1) as usize * page;
+            self.pages[base..base + page].fill(0);
+        }
     }
 
     /// Reads a little-endian `u32` at a physical address (word-aligned).
@@ -182,6 +234,66 @@ mod tests {
         for f in [0, 1, 3] {
             assert_eq!(m.read(FrameNum::new(f), 0, 128), &[0xab; 128]);
         }
+    }
+
+    #[test]
+    fn unwritten_frames_read_zero_and_hold_no_page() {
+        let m = MainMemory::new(PageSize::S256, 4 * 1024 * 1024);
+        assert_eq!(m.frames(), 16 * 1024);
+        assert_eq!(m.total_bytes(), 4 * 1024 * 1024);
+        assert_eq!(m.read(FrameNum::new(12_345), 0, 256), &[0; 256]);
+        assert_eq!(m.read_u32(PhysAddr::new(4 * 1024 * 1024 - 4)), 0);
+        assert!(m.pages.is_empty(), "reads materialise nothing");
+    }
+
+    #[test]
+    fn writing_a_high_frame_stores_only_that_frame() {
+        let mut m = MainMemory::new(PageSize::S128, 1024 * 1024);
+        let last = FrameNum::new(m.frames() - 1);
+        m.write(last, 124, &[1, 2, 3, 4]);
+        assert_eq!(m.pages.len(), 128, "one page holds the one written frame");
+        assert_eq!(m.read(last, 120, 8), &[0, 0, 0, 0, 1, 2, 3, 4]);
+        assert_eq!(m.read_frame(FrameNum::new(m.frames() - 2)), vec![0; 128]);
+        // A second write to the same frame reuses its page.
+        m.write_u32(PhysAddr::new(1024 * 1024 - 128), 0xfeed_f00d);
+        assert_eq!(m.pages.len(), 128);
+        assert_eq!(m.read_u32(PhysAddr::new(1024 * 1024 - 128)), 0xfeed_f00d);
+        assert_eq!(m.pages.capacity(), 1024 * 1024, "room for every frame is reserved once");
+    }
+
+    #[test]
+    fn written_frames_ascend_and_skip_unwritten_ones() {
+        let mut m = MainMemory::new(PageSize::S128, 1024);
+        m.write_u32(PhysAddr::new(5 * 128), 5);
+        m.write_u32(PhysAddr::new(2 * 128), 2);
+        m.zero_frame(FrameNum::new(3));
+        let frames: Vec<(u64, u8)> = m.written_frames().map(|(f, b)| (f.raw(), b[0])).collect();
+        assert_eq!(frames, vec![(2, 2), (5, 5)]);
+    }
+
+    #[test]
+    fn zero_frame_on_an_unwritten_frame_stays_unwritten() {
+        let mut m = MainMemory::new(PageSize::S128, 512);
+        m.zero_frame(FrameNum::new(1));
+        assert!(m.pages.is_empty());
+        assert_eq!(m.read(FrameNum::new(1), 0, 128), &[0; 128]);
+        m.write_frame(FrameNum::new(1), &[7; 128]);
+        m.zero_frame(FrameNum::new(1));
+        assert_eq!(m.read(FrameNum::new(1), 0, 128), &[0; 128]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_out_of_range_write() {
+        let mut m = MainMemory::new(PageSize::S128, 256);
+        m.write(FrameNum::new(2), 0, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_out_of_range_zero_frame() {
+        let mut m = MainMemory::new(PageSize::S128, 256);
+        m.zero_frame(FrameNum::new(2));
     }
 
     #[test]
