@@ -100,6 +100,21 @@ impl<E> EventQueue<E> {
         Some((t, entry.event))
     }
 
+    /// Delivers an event at `at` without storing it, when it would be
+    /// the very next one delivered: `at` is at or before `deadline` and
+    /// strictly before every pending event (a tie would go behind the
+    /// pending one). Returns whether it did. On `true` the sequence
+    /// number [`EventQueue::schedule`] would have assigned is consumed,
+    /// so the queue is left exactly as `schedule(at, e)` followed by
+    /// `pop_if_at_or_before(deadline)` would leave it; on `false`
+    /// nothing changes.
+    #[inline]
+    pub fn bypass(&mut self, at: Nanos, deadline: Nanos) -> bool {
+        let next = at <= deadline && self.peek_time().is_none_or(|head| at < head);
+        self.seq += u64::from(next);
+        next
+    }
+
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Nanos> {
         self.heap.peek().map(|e| {
@@ -270,6 +285,69 @@ mod tests {
             }
         }
         assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn bypass_stands_for_schedule_then_pop() {
+        // Each step either bypasses or schedules-and-pops on `a`, and
+        // always schedules-and-pops on `b`; the queues must agree on
+        // every delivery and on their captured state throughout.
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        for (i, t) in [30u64, 10, 20, 20, 40].into_iter().enumerate() {
+            a.schedule(Nanos::from_ns(t), i);
+            b.schedule(Nanos::from_ns(t), i);
+        }
+        let deadline = Nanos::from_ns(35);
+        let mut bypassed = 0;
+        for (step, t) in [5u64, 10, 8, 9, 36, 20, 15].into_iter().enumerate() {
+            let (at, event) = (Nanos::from_ns(t), 100 + step);
+            let next = b.peek_time().is_none_or(|h| at < h) && at <= deadline;
+            assert_eq!(a.bypass(at, deadline), next, "bypass at {t}");
+            if next {
+                bypassed += 1;
+                b.schedule(at, event);
+                assert_eq!(b.pop_if_at_or_before(deadline), Some((at, event)));
+            } else {
+                a.schedule(at, event);
+                b.schedule(at, event);
+                assert_eq!(a.pop_if_at_or_before(deadline), b.pop_if_at_or_before(deadline));
+            }
+            assert_eq!((a.next_seq(), a.entries()), (b.next_seq(), b.entries()));
+        }
+        assert_eq!(bypassed, 4, "the schedule must exercise both branches");
+        // A restored copy keeps delivering exactly as the original.
+        let mut c = EventQueue::restore(a.next_seq(), a.entries());
+        loop {
+            let (x, y) = (a.pop(), c.pop());
+            assert_eq!(x, y);
+            if x.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn bypass_keeps_fifo_ties_around_a_consumed_number() {
+        let mut q = EventQueue::new();
+        q.schedule(Nanos::from_ns(7), 'a');
+        // A tie with the head is never bypassed…
+        assert!(!q.bypass(Nanos::from_ns(7), Nanos::from_ns(100)));
+        assert_eq!(q.next_seq(), 1);
+        // …an earlier event is, and consumes one number…
+        assert!(q.bypass(Nanos::from_ns(3), Nanos::from_ns(100)));
+        assert_eq!(q.next_seq(), 2);
+        // …and later ties still deliver in schedule order.
+        q.schedule(Nanos::from_ns(7), 'b');
+        q.schedule(Nanos::from_ns(7), 'c');
+        let entries: Vec<u64> = q.entries().iter().map(|&(_, seq, _)| seq).collect();
+        assert_eq!(entries, vec![0, 2, 3]);
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c']);
+        // An empty queue takes any event up to the deadline, none past it.
+        assert!(!q.bypass(Nanos::from_ns(101), Nanos::from_ns(100)));
+        assert!(q.bypass(Nanos::from_ns(100), Nanos::from_ns(100)));
+        assert_eq!(q.next_seq(), 5);
     }
 
     #[test]
