@@ -75,6 +75,7 @@ impl DataCache {
     }
 
     /// Looks up ⟨`asid`, `va`⟩, updating LRU on a hit.
+    #[inline(always)]
     pub fn lookup(&mut self, asid: Asid, va: VirtAddr) -> Option<SlotId> {
         self.tags.lookup(asid, va)
     }
@@ -95,6 +96,7 @@ impl DataCache {
     /// # Panics
     ///
     /// Panics if `bytes` is not exactly one cache page long.
+    #[inline]
     pub fn install(&mut self, id: SlotId, tag: Tag, flags: SlotFlags, bytes: impl AsRef<[u8]>) {
         self.fill(id, bytes.as_ref(), "install");
         self.tags.install(id, tag, flags);
@@ -103,6 +105,7 @@ impl DataCache {
     /// Invalidates a slot, returning its tag and flags if it was valid.
     /// The page is zeroed for the next occupant, so a caller writing back
     /// a modified page copies it out through [`DataCache::read`] first.
+    #[inline(always)]
     pub fn invalidate(&mut self, id: SlotId) -> Option<(Tag, SlotFlags)> {
         let flags = self.tags.flags(id);
         let tag = self.tags.invalidate(id)?;
@@ -142,11 +145,6 @@ impl DataCache {
     /// Replaces the flags of a slot.
     pub fn set_flags(&mut self, id: SlotId, flags: SlotFlags) {
         self.tags.set_flags(id, flags);
-    }
-
-    /// Returns the tag of a valid slot.
-    pub fn tag(&self, id: SlotId) -> Option<Tag> {
-        self.tags.tag(id)
     }
 
     /// Iterates over all valid slots.

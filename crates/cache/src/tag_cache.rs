@@ -75,20 +75,17 @@ impl TagCache {
 
     /// Presents one reference; updates tags, LRU and statistics.
     pub fn access(&mut self, r: MemRef) -> AccessOutcome {
-        self.stats.refs += 1;
         let supervisor = r.privilege.is_supervisor();
-        if supervisor {
-            self.stats.supervisor_refs += 1;
-        }
+        self.stats.refs += 1;
+        self.stats.supervisor_refs += u64::from(supervisor);
         if let Some(id) = self.tags.lookup(r.asid, r.addr) {
-            if r.kind.is_write() {
-                let mut f = self.tags.flags(id);
-                if !f.modified {
-                    self.stats.write_hits_clean += 1;
-                    f.modified = true;
-                    self.tags.set_flags(id, f);
-                }
-            }
+            // A write dirties the page; counted without a branch on the
+            // reference kind, which the trace mixes unpredictably.
+            let write = r.kind.is_write();
+            let mut f = self.tags.flags(id);
+            self.stats.write_hits_clean += u64::from(write & !f.modified);
+            f.modified |= write;
+            self.tags.set_flags(id, f);
             return AccessOutcome::Hit;
         }
         // Miss: load the page into the hardware-suggested victim slot.
@@ -248,58 +245,108 @@ mod tests {
         assert!(stats.misses >= 1);
     }
 
-    /// Reference model: per-set LRU list of ⟨asid, vpn⟩ keys.
+    /// Reference model: per-set LRU list of ⟨asid, vpn⟩ keys, each with
+    /// the dirty bit a write sets, and the statistics the simulator keeps.
     struct LruModel {
         page: PageSize,
         sets: usize,
         assoc: usize,
-        lists: HashMap<usize, VecDeque<(u8, u64)>>,
+        lists: HashMap<usize, VecDeque<(u8, u64, bool)>>,
+        stats: CacheSimStats,
     }
 
     impl LruModel {
         fn new(page: PageSize, assoc: usize, total: u64) -> Self {
             let sets = (total / (page.bytes() * assoc as u64)) as usize;
-            LruModel { page, sets, assoc, lists: HashMap::new() }
+            LruModel { page, sets, assoc, lists: HashMap::new(), stats: CacheSimStats::default() }
         }
 
         /// Returns true on hit.
-        fn access(&mut self, asid: u8, addr: u64) -> bool {
+        fn access(&mut self, asid: u8, addr: u64, write: bool) -> bool {
+            self.stats.refs += 1;
             let vpn = self.page.page_of(addr);
             let set = (vpn as usize) & (self.sets - 1);
-            let key = (asid, vpn);
             let list = self.lists.entry(set).or_default();
-            if let Some(pos) = list.iter().position(|&k| k == key) {
-                list.remove(pos);
-                list.push_front(key);
+            if let Some(pos) = list.iter().position(|&(a, v, _)| (a, v) == (asid, vpn)) {
+                let (_, _, dirty) = list.remove(pos).expect("position is in range");
+                if write && !dirty {
+                    self.stats.write_hits_clean += 1;
+                }
+                list.push_front((asid, vpn, dirty || write));
                 true
             } else {
-                list.push_front(key);
-                if list.len() > self.assoc {
-                    list.pop_back();
+                self.stats.misses += 1;
+                if list.len() == self.assoc {
+                    match list.pop_back() {
+                        Some((_, _, true)) => self.stats.dirty_evictions += 1,
+                        _ => self.stats.clean_evictions += 1,
+                    }
+                } else {
+                    self.stats.cold_fills += 1;
                 }
+                list.push_front((asid, vpn, write));
                 false
             }
         }
+
+        fn flush(&mut self) {
+            self.lists.clear();
+        }
+    }
+
+    /// Bases of the address regions the reference-model test draws from:
+    /// low memory, the last page numbers that pack into a 64-bit slot key
+    /// with an 8-bit ASID (VPN 2^56 − 1 and below), page numbers past them,
+    /// and the top of the address space.
+    fn region_base(page: PageSize, region: usize) -> u64 {
+        let vpn = match region {
+            0 => 0,
+            1 => (1 << 56) - 6,
+            2 => 1 << 56,
+            3 => 1 << 60,
+            _ => u64::MAX >> page.offset_bits(),
+        };
+        // A few pages below the region's page number, so the pages drawn
+        // straddle it.
+        vpn.saturating_sub(4) << page.offset_bits()
     }
 
     proptest::proptest! {
-        /// The tag cache must agree hit-for-hit with a straightforward
-        /// per-set LRU model on arbitrary reference strings.
+        /// The tag cache must agree hit-for-hit and counter-for-counter
+        /// with a straightforward per-set LRU model on arbitrary reads,
+        /// writes and flushes, at every associativity up to 8 and for
+        /// page numbers across the whole address space, including the
+        /// same page under several ASIDs in one set.
         #[test]
         fn matches_lru_reference_model(
-            refs in proptest::collection::vec((0u8..3, 0u64..8192), 1..600),
-            assoc in 1usize..=4,
+            ops in proptest::collection::vec(
+                (0u8..20, 0usize..4, 0usize..5, 0u64..24),
+                1..600,
+            ),
+            assoc in 1usize..=8,
+            tiny_pages in proptest::prelude::any::<bool>(),
         ) {
-            let page = PageSize::S128;
+            let page = if tiny_pages { PageSize::new(4).unwrap() } else { PageSize::S128 };
             let total = (page.bytes() * assoc as u64) * 4; // 4 sets
             let mut sim = TagCache::new(CacheConfig::new(page, assoc, total).unwrap());
             let mut model = LruModel::new(page, assoc, total);
-            for &(asid, addr) in &refs {
-                let got = sim
-                    .access(MemRef::read(Asid::new(asid), VirtAddr::new(addr)))
-                    .is_hit();
-                let want = model.access(asid, addr);
-                proptest::prop_assert_eq!(got, want, "divergence at {:?}", (asid, addr));
+            for &(op, asid, region, p) in &ops {
+                let asid = [0u8, 1, 2, 255][asid];
+                if op == 0 {
+                    sim.flush();
+                    model.flush();
+                    continue;
+                }
+                let write = op % 3 == 0;
+                let addr = region_base(page, region)
+                    .wrapping_add(p * page.bytes())
+                    .wrapping_add(p % page.bytes());
+                let (a, va) = (Asid::new(asid), VirtAddr::new(addr));
+                let r = if write { MemRef::write(a, va) } else { MemRef::read(a, va) };
+                let got = sim.access(r).is_hit();
+                let want = model.access(asid, addr, write);
+                proptest::prop_assert_eq!(got, want, "divergence at {:?}", (asid, addr, write));
+                proptest::prop_assert_eq!(*sim.stats(), model.stats);
             }
         }
 
