@@ -617,7 +617,8 @@ mod tests {
     fn page_numbers_across_the_whole_address_space_match_exactly() {
         // 4-byte pages give page numbers up to 2^62 − 1. One set of
         // 8 ways holds the same page number under several ASIDs, page
-        // numbers on both sides of 2^56 and the very last page.
+        // numbers on both sides of 2^56 − 1 (the first that does not pack) and
+        // the very last page.
         let page = PageSize::new(4).unwrap();
         let mut a = TagArray::new(CacheConfig::new(page, 8, 32).unwrap());
         let last = u64::MAX >> 2;

@@ -295,9 +295,9 @@ mod tests {
     }
 
     /// Bases of the address regions the reference-model test draws from:
-    /// low memory, the last page numbers that pack into a 64-bit slot key
-    /// with an 8-bit ASID (VPN 2^56 − 1 and below), page numbers past them,
-    /// and the top of the address space.
+    /// low memory, both sides of VPN 2^56 − 1 (the first page number that
+    /// no longer fits beside an 8-bit ASID in a 64-bit slot key), page
+    /// numbers far past it, and the top of the address space.
     fn region_base(page: PageSize, region: usize) -> u64 {
         let vpn = match region {
             0 => 0,
