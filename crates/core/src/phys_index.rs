@@ -1,9 +1,18 @@
 //! The software physical→cache-slot index kept in local memory.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use vmp_cache::SlotId;
 use vmp_types::FrameNum;
+
+/// Frame → sorted slots. Hashed with fixed keys so that the bucket order
+/// (the order a clone allocates and a drop or [`PhysIndex::clear`] frees
+/// the per-frame `Vec`s), and with it where every later allocation lands,
+/// repeats from run to run. Keys are frame numbers, at most one entry per
+/// memory frame, so keys chosen to collide cost no more than that bound.
+type FrameMap = HashMap<FrameNum, Vec<SlotId>, BuildHasherDefault<DefaultHasher>>;
 
 /// The miss handler's record of which cache slots hold which physical
 /// frames.
@@ -41,7 +50,7 @@ use vmp_types::FrameNum;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhysIndex {
-    by_frame: HashMap<FrameNum, Vec<SlotId>>,
+    by_frame: FrameMap,
     /// Frame held by each slot, linearized as `set * ways + way`.
     by_slot: Vec<Option<FrameNum>>,
     ways: usize,
@@ -57,7 +66,7 @@ impl PhysIndex {
     /// the reverse map never reallocates during simulation.
     pub fn with_geometry(sets: usize, ways: usize) -> Self {
         let ways = ways.max(1);
-        PhysIndex { by_frame: HashMap::new(), by_slot: vec![None; sets * ways], ways }
+        PhysIndex { by_frame: FrameMap::default(), by_slot: vec![None; sets * ways], ways }
     }
 
     fn linear(&self, slot: SlotId) -> usize {
@@ -120,7 +129,7 @@ impl PhysIndex {
         Self::detach(&mut self.by_frame, frame, slot);
     }
 
-    fn detach(by_frame: &mut HashMap<FrameNum, Vec<SlotId>>, frame: FrameNum, slot: SlotId) {
+    fn detach(by_frame: &mut FrameMap, frame: FrameNum, slot: SlotId) {
         if let Some(slots) = by_frame.get_mut(&frame) {
             if let Ok(pos) = slots.binary_search(&slot) {
                 slots.remove(pos);

@@ -28,22 +28,36 @@ use crate::MemTimings;
 pub struct MainMemory {
     page_size: PageSize,
     frames: u64,
-    /// Per frame: 1 + the index of its page in `pages`, or 0 while the
+    /// Per frame: 1 + the index of its page in first-write order, or 0 while the
     /// frame has never been written (it reads as zeros).
     slots: Vec<u32>,
-    /// The written frames' bytes, one page each in first-write order.
-    pages: Vec<u8>,
+    /// The written frames' bytes, one page each in first-write order,
+    /// held in chunks of `1 << chunk_shift` pages.
+    chunks: Vec<Vec<u8>>,
+    /// log2 of the pages per chunk.
+    chunk_shift: u32,
     /// One page of zeros: what an unwritten frame reads.
     zeros: Box<[u8]>,
     timings: MemTimings,
 }
 
+/// Bytes per chunk of written pages (or one page, if pages are larger).
+///
+/// Pages live in chunks of one size rather than in one block reserved
+/// for the whole memory. A large block that is mostly untouched costs
+/// resident memory only where it lands on pages the process does not
+/// already hold, so where the allocator placed one 4 MB reservation made
+/// the peak resident set of a run that rebuilds machines differ by about
+/// the written part from one run to the next. Chunks that size reuse
+/// each other's freed space.
+const CHUNK_BYTES: usize = 64 * 1024;
+
 impl MainMemory {
     /// Creates zeroed memory of `total_bytes`, rounded up to whole frames.
     ///
     /// Only frames that are written take up host memory: the rest read
-    /// as zeros. Room for every frame is reserved up front, so writes
-    /// never reallocate.
+    /// as zeros. A first write that finds the last chunk full allocates
+    /// the next one; pages never move once written.
     ///
     /// # Panics
     ///
@@ -56,7 +70,8 @@ impl MainMemory {
             page_size,
             frames,
             slots: vec![0; frames as usize],
-            pages: Vec::with_capacity(frames as usize * page),
+            chunks: Vec::new(),
+            chunk_shift: (CHUNK_BYTES / page).max(1).trailing_zeros(),
             zeros: vec![0; page].into_boxed_slice(),
             timings: MemTimings::default(),
         }
@@ -94,6 +109,40 @@ impl MainMemory {
         self.timings.page_transfer(self.page_size)
     }
 
+    /// The page of a written frame's slot entry (`slot >= 1`).
+    fn page(&self, slot: u32) -> &[u8] {
+        let (chunk, at) = self.locate(slot);
+        &self.chunks[chunk][at..at + self.zeros.len()]
+    }
+
+    fn page_mut(&mut self, slot: u32) -> &mut [u8] {
+        let (chunk, at) = self.locate(slot);
+        let page = self.zeros.len();
+        &mut self.chunks[chunk][at..at + page]
+    }
+
+    /// The chunk and byte offset of a written frame's page.
+    fn locate(&self, slot: u32) -> (usize, usize) {
+        let i = (slot - 1) as usize;
+        let within = i & ((1 << self.chunk_shift) - 1);
+        (i >> self.chunk_shift, within * self.zeros.len())
+    }
+
+    /// Gives an unwritten frame a zeroed page and returns its slot entry.
+    fn materialise(&mut self, frame: FrameNum) -> u32 {
+        let chunk_bytes = self.zeros.len() << self.chunk_shift;
+        if self.chunks.last().is_none_or(|c| c.len() == chunk_bytes) {
+            self.chunks.push(Vec::with_capacity(chunk_bytes));
+        }
+        let full = (self.chunks.len() - 1) * chunk_bytes;
+        let last = self.chunks.last_mut().expect("a chunk with room");
+        last.extend_from_slice(&self.zeros);
+        let held = full + last.len();
+        let slot = (held / self.zeros.len()) as u32;
+        self.slots[frame.index()] = slot;
+        slot
+    }
+
     /// Checks an access and returns the frame's slot entry.
     fn slot(&self, frame: FrameNum, offset: usize, len: usize) -> u32 {
         assert!(frame.raw() < self.frames, "frame {frame} out of range");
@@ -110,10 +159,7 @@ impl MainMemory {
     pub fn read(&self, frame: FrameNum, offset: usize, len: usize) -> &[u8] {
         match self.slot(frame, offset, len) {
             0 => &self.zeros[offset..offset + len],
-            slot => {
-                let base = (slot - 1) as usize * self.zeros.len();
-                &self.pages[base + offset..base + offset + len]
-            }
+            slot => &self.page(slot)[offset..offset + len],
         }
     }
 
@@ -125,11 +171,8 @@ impl MainMemory {
     /// Every frame that has been written, in ascending frame order, with
     /// its bytes. The frames left out read as zeros.
     pub fn written_frames(&self) -> impl Iterator<Item = (FrameNum, &[u8])> + '_ {
-        let page = self.zeros.len();
         let written = self.slots.iter().enumerate().filter(|&(_, &slot)| slot != 0);
-        written.map(move |(frame, &slot)| {
-            (FrameNum::new(frame as u64), &self.pages[(slot - 1) as usize * page..][..page])
-        })
+        written.map(move |(frame, &slot)| (FrameNum::new(frame as u64), self.page(slot)))
     }
 
     /// Writes bytes at `offset` within a frame.
@@ -139,18 +182,11 @@ impl MainMemory {
     /// Panics if the frame is out of range or the access crosses the
     /// frame boundary.
     pub fn write(&mut self, frame: FrameNum, offset: usize, bytes: &[u8]) {
-        let page = self.zeros.len();
         let slot = match self.slot(frame, offset, bytes.len()) {
-            0 => {
-                self.pages.extend_from_slice(&self.zeros);
-                let slot = (self.pages.len() / page) as u32;
-                self.slots[frame.index()] = slot;
-                slot
-            }
+            0 => self.materialise(frame),
             slot => slot,
         };
-        let base = (slot - 1) as usize * page + offset;
-        self.pages[base..base + bytes.len()].copy_from_slice(bytes);
+        self.page_mut(slot)[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
 
     /// Replaces one whole frame (a write-back block transfer).
@@ -170,10 +206,8 @@ impl MainMemory {
     ///
     /// Panics if the frame is out of range.
     pub fn zero_frame(&mut self, frame: FrameNum) {
-        let page = self.zeros.len();
-        if let slot @ 1.. = self.slot(frame, 0, page) {
-            let base = (slot - 1) as usize * page;
-            self.pages[base..base + page].fill(0);
+        if let slot @ 1.. = self.slot(frame, 0, self.zeros.len()) {
+            self.page_mut(slot).fill(0);
         }
     }
 
@@ -206,6 +240,46 @@ impl MainMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes of page data the memory holds.
+    fn held(m: &MainMemory) -> usize {
+        m.chunks.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn pages_spread_over_chunks_keep_their_bytes() {
+        let mut m = MainMemory::new(PageSize::S128, 1024 * 1024);
+        let per_chunk = CHUNK_BYTES / 128;
+        let frames = m.frames();
+        let frame = |k: u64| FrameNum::new(k * 7919 % frames);
+        let n = 2 * per_chunk as u64 + 276;
+        for k in 0..n {
+            m.write(frame(k), 4, &(k as u32).to_le_bytes());
+        }
+        assert_eq!(held(&m), n as usize * 128);
+        assert_eq!(m.chunks.len(), 3);
+        for k in 0..n {
+            assert_eq!(m.read(frame(k), 0, 8), [[0; 4], (k as u32).to_le_bytes()].concat());
+        }
+        m.zero_frame(frame(per_chunk as u64 + 9));
+        assert_eq!(m.read(frame(per_chunk as u64 + 9), 0, 128), &[0; 128]);
+        assert_eq!(m.read(frame(per_chunk as u64 + 8), 4, 4), (per_chunk as u32 + 8).to_le_bytes());
+        let frames: Vec<u64> = m.written_frames().map(|(f, _)| f.raw()).collect();
+        assert_eq!(frames.len(), n as usize);
+        assert!(frames.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn pages_larger_than_a_chunk_take_one_chunk_each() {
+        let big = PageSize::new(128 * 1024).unwrap();
+        let mut m = MainMemory::new(big, 1024 * 1024);
+        m.write_u32(PhysAddr::new(5 * 128 * 1024 + 8), 5);
+        m.write_u32(PhysAddr::new(2 * 128 * 1024 + 8), 2);
+        assert_eq!(m.chunks.len(), 2);
+        assert_eq!(m.read_u32(PhysAddr::new(5 * 128 * 1024 + 8)), 5);
+        assert_eq!(m.read_u32(PhysAddr::new(2 * 128 * 1024 + 8)), 2);
+        assert_eq!(m.read_u32(PhysAddr::new(3 * 128 * 1024 + 8)), 0);
+    }
 
     #[test]
     fn rounds_up_to_whole_frames() {
@@ -243,7 +317,7 @@ mod tests {
         assert_eq!(m.total_bytes(), 4 * 1024 * 1024);
         assert_eq!(m.read(FrameNum::new(12_345), 0, 256), &[0; 256]);
         assert_eq!(m.read_u32(PhysAddr::new(4 * 1024 * 1024 - 4)), 0);
-        assert!(m.pages.is_empty(), "reads materialise nothing");
+        assert_eq!(held(&m), 0, "reads materialise nothing");
     }
 
     #[test]
@@ -251,14 +325,15 @@ mod tests {
         let mut m = MainMemory::new(PageSize::S128, 1024 * 1024);
         let last = FrameNum::new(m.frames() - 1);
         m.write(last, 124, &[1, 2, 3, 4]);
-        assert_eq!(m.pages.len(), 128, "one page holds the one written frame");
+        assert_eq!(held(&m), 128, "one page holds the one written frame");
         assert_eq!(m.read(last, 120, 8), &[0, 0, 0, 0, 1, 2, 3, 4]);
         assert_eq!(m.read_frame(FrameNum::new(m.frames() - 2)), vec![0; 128]);
         // A second write to the same frame reuses its page.
         m.write_u32(PhysAddr::new(1024 * 1024 - 128), 0xfeed_f00d);
-        assert_eq!(m.pages.len(), 128);
+        assert_eq!(held(&m), 128);
         assert_eq!(m.read_u32(PhysAddr::new(1024 * 1024 - 128)), 0xfeed_f00d);
-        assert_eq!(m.pages.capacity(), 1024 * 1024, "room for every frame is reserved once");
+        assert_eq!(m.chunks.len(), 1);
+        assert_eq!(m.chunks[0].capacity(), CHUNK_BYTES, "a chunk is reserved whole");
     }
 
     #[test]
@@ -275,7 +350,7 @@ mod tests {
     fn zero_frame_on_an_unwritten_frame_stays_unwritten() {
         let mut m = MainMemory::new(PageSize::S128, 512);
         m.zero_frame(FrameNum::new(1));
-        assert!(m.pages.is_empty());
+        assert_eq!(held(&m), 0);
         assert_eq!(m.read(FrameNum::new(1), 0, 128), &[0; 128]);
         m.write_frame(FrameNum::new(1), &[7; 128]);
         m.zero_frame(FrameNum::new(1));
