@@ -191,15 +191,33 @@ impl Kernel {
         self.spaces.keys().copied().collect()
     }
 
-    /// The frame allocator's free list, ascending, for checkpointing.
-    pub fn free_list(&self) -> Vec<u64> {
-        self.allocator.free_list()
+    /// The frame allocator's free runs as `(first frame, length)`,
+    /// ascending, for checkpointing.
+    pub fn free_runs(&self) -> impl Iterator<Item = (FrameNum, u64)> + '_ {
+        self.allocator.free_runs()
     }
 
-    /// Replaces the allocator's free list with a checkpointed one so the
-    /// lowest-first allocation sequence continues identically.
-    pub fn restore_free_list(&mut self, free: Vec<u64>) {
-        self.allocator.restore_free_list(free);
+    /// Replaces the allocator's free list with checkpointed
+    /// [`Kernel::free_runs`] so the lowest-first allocation sequence
+    /// continues identically. Restore the address spaces first: no run
+    /// may hold a frame a page table maps.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first malformed run (see
+    /// [`FrameAllocator::restore_free_runs`]) or the first mapped frame
+    /// a run holds; the free list is then unchanged.
+    pub fn restore_free_runs(&mut self, runs: Vec<(FrameNum, u64)>) -> Result<(), String> {
+        let mut allocator = FrameAllocator::new(self.allocator.total_frames());
+        allocator.restore_free_runs(runs)?;
+        for space in self.spaces.values() {
+            if let Some((vpn, pte)) = space.iter().find(|(_, pte)| allocator.is_free(pte.frame)) {
+                let asid = space.asid();
+                return Err(format!("free {} is mapped by {asid} at {vpn}", pte.frame));
+            }
+        }
+        self.allocator = allocator;
+        Ok(())
     }
 }
 

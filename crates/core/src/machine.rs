@@ -10,7 +10,7 @@ use vmp_bus::{
 use vmp_cache::{DataCache, SlotFlags, SlotId, Tag};
 use vmp_mem::MainMemory;
 use vmp_obs::{CpuClocks, EventKind, MachineObs, MissCause, Probe};
-use vmp_sim::{AttentionClock, EventQueue, Histogram};
+use vmp_sim::{AttentionClock, EventQueue};
 use vmp_trace::MemRef;
 use vmp_types::{Asid, FrameNum, Nanos, PageSize, PhysAddr, ProcessorId, VirtAddr, VirtPageNum};
 
@@ -105,15 +105,6 @@ pub(crate) struct Cpu {
     /// Armed while this board's monitor holds unserviced interrupt words
     /// or an unserviced overflow flag; the watchdog flags starvation.
     pub(crate) attention: AttentionClock,
-    /// When the current operation began (first attempt), for latency
-    /// instrumentation across retries.
-    pub(crate) op_start: Nanos,
-    /// The current operation took at least one miss/upgrade.
-    pub(crate) op_stalled: bool,
-    /// Distribution of complete memory-operation latencies that involved
-    /// miss handling — the paper's "highly instrumented" prototype in
-    /// simulator form (§5).
-    pub(crate) miss_latency: Histogram,
     pub(crate) stats: ProcessorStats,
 }
 
@@ -252,9 +243,6 @@ impl Machine {
                 retry_streak: 0,
                 zero_yield_acquires: 0,
                 attention: AttentionClock::new(),
-                op_start: Nanos::ZERO,
-                op_stalled: false,
-                miss_latency: Histogram::new(Nanos::from_us(2), 64),
                 stats: ProcessorStats::default(),
             })
             .collect();
@@ -311,6 +299,14 @@ impl Machine {
     /// [`vmp_obs::metrics_json`].
     pub fn obs(&self) -> Option<&MachineObs> {
         self.obs.as_deref()
+    }
+
+    /// Starts the recorder's windowed deltas from the clocks as they
+    /// stand, for a machine resumed mid-run.
+    pub(crate) fn baseline_obs(&mut self) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.baseline(self.bus.stats().busy.busy(), &Clocks(&self.cpus));
+        }
     }
 
     /// Reports one chokepoint to the recorder ([`MachineObs::record`]
@@ -510,17 +506,6 @@ impl Machine {
     /// Panics if `cpu` is out of range.
     pub fn cpu_stats(&self, cpu: usize) -> &ProcessorStats {
         &self.cpus[cpu].stats
-    }
-
-    /// Latency distribution of the memory operations that took a miss or
-    /// ownership upgrade on this processor (2 µs buckets), measured from
-    /// first attempt to completion — retries included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    pub fn miss_latency(&self, cpu: usize) -> &Histogram {
-        &self.cpus[cpu].miss_latency
     }
 
     /// Runs until every program has halted and all DMA has drained.
@@ -1004,10 +989,6 @@ impl Machine {
         };
         let done = match outcome {
             Exec::Done(end, result) => {
-                if self.cpus[cpu].op_stalled {
-                    let latency = end.saturating_sub(self.cpus[cpu].op_start);
-                    self.cpus[cpu].miss_latency.record(latency);
-                }
                 self.cpus[cpu].last_result = result;
                 self.cpus[cpu].retry_streak = 0;
                 Some(end)
@@ -1121,7 +1102,6 @@ impl Machine {
         let c = &mut self.cpus[cpu];
         let last = std::mem::take(&mut c.last_result);
         let op = c.program.as_mut().expect("ready CPU has a program").next_op(last);
-        (c.op_start, c.op_stalled) = (t, false);
         self.execute(cpu, op, t)
     }
 
@@ -1263,7 +1243,6 @@ impl Machine {
     /// A write to a shared page: negotiate ownership (§2).
     #[inline(never)]
     fn upgrade(&mut self, cpu: usize, op: Op, va: VirtAddr, slot: SlotId, t: Nanos) -> Exec {
-        self.cpus[cpu].op_stalled = true;
         let frame = self.cpus[cpu].phys.frame_of(slot).expect("resident slot indexed");
         let t1 = t + self.config.cpu.upgrade_software;
         self.issue_upgrade(cpu, UpgradeCont { op, va, slot, frame }, t1)
@@ -1281,7 +1260,6 @@ impl Machine {
         is_write: bool,
         t: Nanos,
     ) -> Result<Exec, MachineError> {
-        self.cpus[cpu].op_stalled = true;
         if is_write {
             self.cpus[cpu].stats.write_misses += 1;
         } else {

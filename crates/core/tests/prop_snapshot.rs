@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use vmp_core::scenarios::{soak_config, Scenario};
 use vmp_core::{Machine, MachineConfig, MachineError, MachineSnapshot, ObsConfig};
 use vmp_faults::{FaultPlan, FaultRates};
+use vmp_obs::json::Value;
 use vmp_types::Nanos;
 
 const WORKLOADS: [Scenario; 6] = [
@@ -194,12 +195,20 @@ fn corruption_is_detected_and_diff_pinpoints() {
     doctored[0] ^= 0xff;
     assert!(MachineSnapshot::from_bytes(&doctored).is_err(), "bad magic must be rejected");
 
-    // Flip one byte deep inside the blob: diff must name the field.
+    // Flip the blob's last byte (the 8-byte checksum follows it): the
+    // checksum refuses the file.
     let mut doctored = bytes.clone();
-    let last = doctored.len() - 1;
+    let last = doctored.len() - 9;
     doctored[last] ^= 0xff;
-    let b = MachineSnapshot::from_bytes(&doctored).unwrap();
+    let err = MachineSnapshot::from_bytes(&doctored).unwrap_err();
+    assert!(matches!(err, MachineError::SnapshotCorrupt { .. }), "{err}");
+
+    // A doctored field still decodes, and diff must name it.
+    let mut b = MachineSnapshot::from_bytes(&bytes).unwrap();
+    let Value::Obj(fields) = b.header_mut() else { panic!("the header is an object") };
+    let (_, events) = fields.iter_mut().find(|(k, _)| k == "events_delivered").unwrap();
+    *events = Value::UInt(events.as_u64().unwrap() + 1);
     let d = MachineSnapshot::diff(&snap, &b).expect("doctored snapshot must differ");
-    assert!(d.contains("$."), "diff must carry a header path: {d}");
+    assert!(d.starts_with("$.events_delivered"), "diff must carry the header path: {d}");
     assert_eq!(MachineSnapshot::diff(&snap, &snap), None);
 }

@@ -6,8 +6,10 @@
 
 use vmp_core::workloads::{LockDiscipline, LockWorker};
 use vmp_core::{
-    DmaRequest, Machine, MachineConfig, MachineError, Op, OpResult, Program, ScriptProgram,
+    DmaRequest, Machine, MachineConfig, MachineError, ObsConfig, Op, OpResult, Program,
+    ScriptProgram,
 };
+use vmp_obs::{EventKind, MissCause};
 use vmp_types::{Asid, Nanos, VirtAddr};
 
 fn small(processors: usize) -> Machine {
@@ -461,31 +463,58 @@ fn bus_stats_accumulate() {
     assert!(report.total_refs() >= 2);
 }
 
+/// A machine with the recorder on, whose `miss_service` histogram times
+/// every completed top-level miss and upgrade.
+fn observed(processors: usize, config: impl FnOnce(&mut MachineConfig)) -> Machine {
+    let mut c = MachineConfig::small();
+    c.processors = processors;
+    c.obs = ObsConfig::on();
+    config(&mut c);
+    Machine::build(c).expect("valid config")
+}
+
 #[test]
-fn miss_latency_histogram_records_misses() {
-    let mut m = small(1);
+fn miss_service_histogram_records_misses() {
+    let mut m = observed(1, |_| {});
     let va = VirtAddr::new(0x2000);
     m.set_program(0, ScriptProgram::new([Op::Write(va, 1), Op::Read(va), Op::Read(va), Op::Halt]))
         .unwrap();
     m.run().unwrap();
-    let h = m.miss_latency(0);
-    // Exactly one stalled operation: the first write (the two reads hit).
+    let h = &m.obs().expect("recording on").miss_service;
+    // Exactly one serviced miss: the first write (the two reads hit).
     assert_eq!(h.count(), 1);
-    // Its latency includes two demand-zero faults (2 × 100 µs default)
-    // plus the handler; everything lands beyond the last 2 µs bucket.
+    // Its service includes two demand-zero faults (2 × 100 µs default)
+    // plus the handler.
     assert!(h.mean() > Nanos::from_us(100));
+}
+
+/// The longest any top-level miss on `cpu` took from its first attempt
+/// to its completion, aborted attempts and retry backoff included — read
+/// from the recorder's event ring, where each attempt opens with a
+/// `MissBegin` and the one that succeeds closes with a completed
+/// `MissEnd` (nested PTE misses are part of their enclosing miss).
+fn worst_miss_latency(m: &Machine, cpu: usize) -> Nanos {
+    let (mut first, mut worst) = (None, Nanos::ZERO);
+    for e in m.obs().expect("recording on").cpu_events(cpu) {
+        match e.kind {
+            EventKind::MissBegin { cause } if cause != MissCause::Pte => {
+                first.get_or_insert(e.at);
+            }
+            EventKind::MissEnd { cause, completed: true } if cause != MissCause::Pte => {
+                worst = worst.max(e.at - first.take().expect("a miss ends after it begins"));
+            }
+            _ => {}
+        }
+    }
+    worst
 }
 
 #[test]
 fn contention_lengthens_miss_latency_tail() {
-    use vmp_core::workloads::{LockDiscipline, LockWorker};
     let run = |cpus: usize| {
-        let mut config = MachineConfig::small();
-        config.processors = cpus;
         // Exclude demand-zero service so the tail reflects contention,
         // not who happened to fault the pages in first.
-        config.cpu.page_fault = Nanos::ZERO;
-        let mut m = Machine::build(config).unwrap();
+        let mut m = observed(cpus, |c| c.cpu.page_fault = Nanos::ZERO);
         let lock = VirtAddr::new(0x1000);
         let counter = VirtAddr::new(0x2000);
         for cpu in 0..cpus {
@@ -503,7 +532,13 @@ fn contention_lengthens_miss_latency_tail() {
             .unwrap();
         }
         m.run().unwrap();
-        m.miss_latency(0).max()
+        // The rings hold every completed miss the histogram timed.
+        let obs = m.obs().expect("recording on");
+        let ends = (0..cpus).flat_map(|cpu| obs.cpu_events(cpu)).filter(|e| {
+            matches!(e.kind, EventKind::MissEnd { cause, completed: true } if cause != MissCause::Pte)
+        });
+        assert_eq!((obs.total_dropped(), ends.count() as u64), (0, obs.miss_service.count()));
+        worst_miss_latency(&m, 0)
     };
     let solo = run(1);
     let contended = run(3);

@@ -7,7 +7,7 @@ use vmp_sim::Log2Histogram;
 use vmp_types::Nanos;
 
 use crate::attrib::AttribTable;
-use crate::event::{Event, EventKind, MissCause, Probe};
+use crate::event::{CpuClocks, Event, EventKind, MissCause, Probe};
 use crate::series::TimeSeries;
 
 /// Observability configuration, carried inside the machine config.
@@ -287,6 +287,18 @@ impl MachineObs {
                     t.last_stall = stall;
                 }
             }
+        }
+    }
+
+    /// Takes the bus's busy time and every processor's clocks as the
+    /// baseline the next [`Probe::Sample`] measures its deltas from. A
+    /// recorder attached to a machine that has already run (a resumed
+    /// snapshot) needs it: the time before the cut belongs to windows
+    /// this recorder never saw, not to its first one.
+    pub fn baseline(&mut self, bus_busy: Nanos, cpus: &dyn CpuClocks) {
+        self.last_bus_busy = bus_busy;
+        for (cpu, t) in self.cpus.iter_mut().enumerate() {
+            (t.last_useful, t.last_stall) = cpus.clocks(cpu);
         }
     }
 

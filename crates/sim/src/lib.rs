@@ -1,11 +1,11 @@
 //! Deterministic discrete-event simulation engine for the VMP machine model.
 //!
 //! The engine is deliberately minimal: a time-ordered, insertion-stable
-//! [`EventQueue`] plus statistics utilities ([`BusyTracker`], [`Histogram`],
-//! [`Log2Histogram`]). The machine model in `vmp-core` defines its own event
-//! enum and owns all component state, which keeps the borrow structure
-//! simple and the simulation perfectly reproducible: identical inputs and
-//! seeds produce identical event orders.
+//! [`EventQueue`] plus statistics utilities ([`BusyTracker`], [`Log2Histogram`]).
+//! The machine model in `vmp-core` defines its own event enum and owns all
+//! component state, which keeps the borrow structure simple and the
+//! simulation perfectly reproducible: identical inputs and seeds produce
+//! identical event orders.
 //!
 //! # Examples
 //!
@@ -33,4 +33,4 @@ mod stats;
 
 pub use attention::AttentionClock;
 pub use queue::EventQueue;
-pub use stats::{BusyTracker, Histogram, Log2Histogram};
+pub use stats::{BusyTracker, Log2Histogram};

@@ -61,123 +61,6 @@ impl BusyTracker {
     }
 }
 
-/// A fixed-bucket histogram of nanosecond durations (e.g. miss latencies,
-/// bus-acquisition waits).
-///
-/// Buckets are linear with a configurable width; values beyond the last
-/// bucket land in an overflow bucket.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width: Nanos,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-    sum: Nanos,
-    max: Nanos,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` linear buckets of `bucket_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is zero or `buckets` is zero.
-    pub fn new(bucket_width: Nanos, buckets: usize) -> Self {
-        assert!(bucket_width > Nanos::ZERO, "bucket width must be non-zero");
-        assert!(buckets > 0, "bucket count must be non-zero");
-        Histogram {
-            bucket_width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-            sum: Nanos::ZERO,
-            max: Nanos::ZERO,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: Nanos) {
-        let idx = (value.as_ns() / self.bucket_width.as_ns()) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.total += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of all samples (zero when empty).
-    pub fn mean(&self) -> Nanos {
-        if self.total == 0 {
-            Nanos::ZERO
-        } else {
-            self.sum / self.total
-        }
-    }
-
-    /// Largest sample seen.
-    pub fn max(&self) -> Nanos {
-        self.max
-    }
-
-    /// Samples that exceeded the bucketed range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate p-th percentile (0.0–1.0) from bucket boundaries.
-    ///
-    /// Returns the upper edge of the bucket containing the percentile, or
-    /// the maximum for samples in the overflow bucket. Returns zero when
-    /// empty.
-    pub fn percentile(&self, p: f64) -> Nanos {
-        if self.total == 0 {
-            return Nanos::ZERO;
-        }
-        let target = (p.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.bucket_width * (i as u64 + 1);
-            }
-        }
-        self.max
-    }
-
-    /// Complete internal state for checkpointing, as
-    /// `(bucket_width, counts, overflow, total, sum, max)`.
-    pub fn state(&self) -> (Nanos, Vec<u64>, u64, u64, Nanos, Nanos) {
-        (self.bucket_width, self.counts.clone(), self.overflow, self.total, self.sum, self.max)
-    }
-
-    /// Rebuilds a histogram from a captured [`Histogram::state`] tuple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is zero or `counts` is empty (the same
-    /// invariants [`Histogram::new`] enforces).
-    pub fn restore(
-        bucket_width: Nanos,
-        counts: Vec<u64>,
-        overflow: u64,
-        total: u64,
-        sum: Nanos,
-        max: Nanos,
-    ) -> Self {
-        assert!(bucket_width > Nanos::ZERO, "bucket width must be non-zero");
-        assert!(!counts.is_empty(), "bucket count must be non-zero");
-        Histogram { bucket_width, counts, overflow, total, sum, max }
-    }
-}
-
 /// A log2-bucketed histogram of nanosecond durations, for latency
 /// distributions that span several orders of magnitude (miss service
 /// times, interrupt latencies, bus arbitration waits).
@@ -329,35 +212,6 @@ mod tests {
         assert_eq!(t.intervals(), 2);
         assert!((t.utilization(Nanos::from_us(1)) - 0.5).abs() < 1e-12);
         assert_eq!(t.utilization(Nanos::ZERO), 0.0);
-    }
-
-    #[test]
-    fn histogram_basic_stats() {
-        let mut h = Histogram::new(Nanos::from_ns(10), 10);
-        for ns in [5, 15, 15, 95, 250] {
-            h.record(Nanos::from_ns(ns));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.overflow(), 1); // 250 is past 10 buckets of 10 ns
-        assert_eq!(h.max(), Nanos::from_ns(250));
-        assert_eq!(h.mean(), Nanos::from_ns((5 + 15 + 15 + 95 + 250) / 5));
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(Nanos::from_ns(10), 100);
-        for i in 1..=100 {
-            h.record(Nanos::from_ns(i * 10 - 5)); // buckets 0..100
-        }
-        assert_eq!(h.percentile(0.5), Nanos::from_ns(500));
-        assert_eq!(h.percentile(1.0), Nanos::from_ns(1000));
-        assert_eq!(Histogram::new(Nanos::from_ns(1), 1).percentile(0.5), Nanos::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width")]
-    fn histogram_rejects_zero_width() {
-        let _ = Histogram::new(Nanos::ZERO, 4);
     }
 
     #[test]

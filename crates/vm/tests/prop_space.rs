@@ -1,11 +1,11 @@
 //! Property-based tests of the two-level page table against a flat
 //! HashMap model.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use vmp_types::{Asid, FrameNum, PageSize, VirtPageNum};
-use vmp_vm::{AddressSpace, FrameAllocator, Pte};
+use vmp_vm::{AddressSpace, FrameAllocator, FreeError, Pte};
 
 #[derive(Debug, Clone)]
 enum SpaceOp {
@@ -93,5 +93,68 @@ proptest! {
             }
             prop_assert_eq!(alloc.free_frames() + held.len() as u64, total);
         }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum AllocOp {
+    Alloc,
+    Free(u64),
+}
+
+fn arb_alloc_op() -> impl Strategy<Value = AllocOp> {
+    prop_oneof![Just(AllocOp::Alloc), (0u64..44).prop_map(AllocOp::Free)]
+}
+
+proptest! {
+    /// The run-keeping allocator hands out, refuses and holds exactly
+    /// the frames a one-entry-per-frame `BTreeSet` model does, and its
+    /// runs stay ascending, disjoint, non-adjacent and non-empty.
+    #[test]
+    fn allocator_matches_btreeset_model(
+        reserved in 0u64..12,
+        ops in proptest::collection::vec(arb_alloc_op(), 0..400),
+    ) {
+        let total = 40u64;
+        let mut alloc = FrameAllocator::with_reserved(total, reserved);
+        let mut model: BTreeSet<u64> = (reserved..total).collect();
+        for op in ops {
+            match op {
+                AllocOp::Alloc => {
+                    let want = model.pop_first().map(FrameNum::new);
+                    prop_assert_eq!(alloc.alloc(), want);
+                }
+                AllocOp::Free(f) => {
+                    let frame = FrameNum::new(f);
+                    let want = if f >= total {
+                        Err(FreeError::OutOfRange(frame))
+                    } else if !model.insert(f) {
+                        Err(FreeError::NotAllocated(frame))
+                    } else {
+                        Ok(())
+                    };
+                    prop_assert_eq!(alloc.free(frame), want);
+                }
+            }
+            let runs: Vec<(FrameNum, u64)> = alloc.free_runs().collect();
+            let mut held = Vec::new();
+            for (i, &(start, len)) in runs.iter().enumerate() {
+                prop_assert!(len > 0, "empty run {i}");
+                if i > 0 {
+                    let (prev, prev_len) = runs[i - 1];
+                    prop_assert!(prev.raw() + prev_len < start.raw(), "runs {} and {i} touch", i - 1);
+                }
+                held.extend(start.raw()..start.raw() + len);
+            }
+            prop_assert_eq!(held, model.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(alloc.free_frames(), model.len() as u64);
+        }
+        // A restored copy continues the same allocation sequence.
+        let mut copy = FrameAllocator::new(total);
+        copy.restore_free_runs(alloc.free_runs().collect::<Vec<_>>()).unwrap();
+        while let Some(want) = alloc.alloc() {
+            prop_assert_eq!(copy.alloc(), Some(want));
+        }
+        prop_assert_eq!(copy.alloc(), None);
     }
 }

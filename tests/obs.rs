@@ -9,7 +9,7 @@ use vmp::machine::scenarios::{observed_config, soak_config, Scenario};
 use vmp::machine::{DmaRequest, Machine, MachineConfig, ObsConfig};
 use vmp::obs::json::{parse, Value};
 use vmp::obs::{chrome_trace, metrics_json, EventKind, MachineObs};
-use vmp::types::{Asid, VirtAddr};
+use vmp::types::{Asid, Nanos, VirtAddr};
 
 /// Four processors: two fighting over a spin lock, two false-sharing a
 /// pair of pages — every event class shows up on the recorded tracks.
@@ -128,6 +128,38 @@ fn recording_is_transparent_to_the_run() {
     assert_eq!(off.1, on.1, "processor statistics must be identical");
     assert_eq!(off.2, on.2, "fault accounting must be identical");
     assert_eq!(off.3, on.3, "bus statistics must be identical");
+}
+
+/// A recorder on a resumed machine measures its windows from the
+/// restored clocks: windows before the cut stay empty, the cut's window
+/// holds only its time after the cut, and every later window reads
+/// exactly what the uninterrupted run's does.
+#[test]
+fn resumed_recording_windows_match_the_uninterrupted_run() {
+    let cut = Nanos::from_us(1500);
+    let mut whole = contended(ObsConfig::on());
+    whole.run().unwrap();
+    let mut m = contended(ObsConfig::on());
+    m.run_until(cut).unwrap();
+    let snap = m.snapshot().unwrap();
+    let config = MachineConfig { obs: ObsConfig::on(), ..observed_config(4) };
+    let mut resumed = Scenario::Contended.resume(config, &snap, None).unwrap();
+    resumed.run().unwrap();
+    let series = |o: &MachineObs| {
+        let cpus = (0..o.processors()).flat_map(|c| [o.cpu_useful(c), o.cpu_stall(c)]);
+        std::iter::once(o.bus_utilization()).chain(cpus).cloned().collect::<Vec<_>>()
+    };
+    let (want, got) = (whole.obs().unwrap(), resumed.obs().unwrap());
+    let cut_window = (cut.as_ns() / want.window().as_ns()) as usize;
+    for (i, (a, b)) in series(want).iter().zip(&series(got)).enumerate() {
+        assert!(a.windows() > cut_window + 1, "series {i}: the run must outlast the cut's window");
+        assert_eq!(a.windows(), b.windows(), "series {i}");
+        assert!((0..cut_window).all(|w| b.total(w) == Nanos::ZERO), "series {i}: before the cut");
+        assert!(b.total(cut_window) <= a.total(cut_window), "series {i}: the cut's window");
+        for w in cut_window + 1..a.windows() {
+            assert_eq!(a.total(w), b.total(w), "series {i}, window {w}");
+        }
+    }
 }
 
 /// FNV-1a, 64-bit: a dependency-free digest of an exported document.

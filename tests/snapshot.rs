@@ -123,11 +123,22 @@ fn set_path(v: &mut Value, path: &str, new: Value) {
 /// with `SnapshotCorrupt` — never a panic.
 #[test]
 fn hostile_headers_are_rejected_not_panicked() {
-    let bytes = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/golden/chaos-w1.vmpsnap"))
-        .expect("golden file");
-    let header_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let blob = &bytes[16 + header_len + 8..];
-    let header = MachineSnapshot::from_bytes(&bytes).unwrap().header().clone();
+    let golden =
+        MachineSnapshot::load(concat!(env!("CARGO_MANIFEST_DIR"), "/golden/chaos-w1.vmpsnap"))
+            .expect("golden file");
+    let header = golden.header().clone();
+    // Free frames are `[first, length]` runs; the golden file's last run
+    // reaches the top of memory.
+    let kernel = header.get("kernel").expect("kernel state");
+    let free = kernel.get("free").and_then(Value::as_arr);
+    let last = free.and_then(|runs| runs.last()).and_then(Value::as_arr).expect("a free run");
+    let (first, len) = (last[0].as_u64().unwrap(), last[1].as_u64().unwrap());
+    let spaces = kernel.get("spaces").and_then(Value::as_arr).expect("address spaces");
+    let page = spaces[0].get("pages").and_then(Value::as_arr).expect("pages")[0].clone();
+    let mapped = page.get("frame").and_then(Value::as_u64).expect("a mapped frame");
+    let runs = |list: &[(u64, u64)]| {
+        Value::Arr(list.iter().map(|&(s, l)| Value::Arr(vec![s.into(), l.into()])).collect())
+    };
     let word = Value::obj().set("kind", 0u64).set("frame", 0u64).set("issuer", 0u64);
     let dma = |host: u64, data_len: u64, phase: Value, blocked_on: Value| {
         let data = Value::obj().set("$blob", 0u64).set("len", data_len);
@@ -157,11 +168,21 @@ fn hostile_headers_are_rejected_not_panicked() {
         ("cpus.0.monitor.fifo", Value::Arr(vec![word; 129])),
         ("cpus.0.asid", 256u64.into()),
         ("cpus.0.retry_streak", (1u64 << 32).into()),
-        ("cpus.0.miss_latency.width", 0u64.into()),
         ("cpus.0.state", Value::obj().set("k", "dozing")),
         ("memory.0.frame", 512u64.into()),
         ("memory.0.data.len", 3u64.into()),
-        ("kernel.free_list.0", (1u64 << 20).into()),
+        ("kernel.free", runs(&[(1 << 20, 1)])),
+        // One entry per rule a free run must keep: it ends at or before
+        // the last frame, its length does not overflow, it is non-empty,
+        // it starts strictly after the run before it ends (ascending,
+        // disjoint, non-adjacent), and it holds no mapped frame.
+        ("kernel.free", runs(&[(first, len + 1)])),
+        ("kernel.free", runs(&[(first, u64::MAX)])),
+        ("kernel.free", runs(&[(first, 0)])),
+        ("kernel.free", runs(&[(first + 8, 4), (first, 4)])),
+        ("kernel.free", runs(&[(first, 8), (first + 4, 4)])),
+        ("kernel.free", runs(&[(first, 4), (first + 4, 4)])),
+        ("kernel.free", runs(&[(mapped, 1), (first, len)])),
         ("queue.entries.0.idx", 2u64.into()),
         ("dmas", dma(2, 128, setup(0), Value::Null)),
         ("dmas", dma(0, 128, setup(1), Value::Null)),
@@ -183,15 +204,9 @@ fn hostile_headers_are_rejected_not_panicked() {
     let tagged = cases.into_iter().map(|c| (c, true));
     for ((path, value), decode_error) in tagged.chain(inconsistent.into_iter().map(|c| (c, false)))
     {
-        let mut doctored = header.clone();
-        set_path(&mut doctored, path, value);
-        let text = doctored.to_string();
-        let mut file = b"VMPSNAP\x01".to_vec();
-        file.extend_from_slice(&(text.len() as u64).to_le_bytes());
-        file.extend_from_slice(text.as_bytes());
-        file.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        file.extend_from_slice(blob);
-        let snap = MachineSnapshot::from_bytes(&file).unwrap();
+        let mut doctored = golden.clone();
+        set_path(doctored.header_mut(), path, value);
+        let snap = MachineSnapshot::from_bytes(&doctored.to_bytes()).unwrap();
         // The golden file is chaos workload 1, unfaulted.
         let outcome = std::panic::catch_unwind(|| {
             Scenario::CHAOS[1].resume(soak_config(2), &snap, None).err()
@@ -207,5 +222,36 @@ fn hostile_headers_are_rejected_not_panicked() {
             Ok(other) => panic!("{path}: expected SnapshotCorrupt, got {other:?}"),
             Err(_) => panic!("{path}: resume panicked"),
         }
+    }
+}
+
+/// The container's checksum catches every damaged byte: flipping one
+/// bit, or all eight, of any single byte of a golden file — magic,
+/// lengths, header, blob or the checksum itself — fails to decode with
+/// `SnapshotCorrupt`, never a panic or a snapshot.
+#[test]
+fn every_flipped_byte_is_caught() {
+    let bytes = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/golden/chaos-w1.vmpsnap"))
+        .expect("golden file");
+    let mut damaged = bytes.clone();
+    for i in 0..bytes.len() {
+        for mask in [0x01, 0xff] {
+            damaged[i] ^= mask;
+            match std::panic::catch_unwind(|| MachineSnapshot::from_bytes(&damaged)) {
+                Ok(Err(MachineError::SnapshotCorrupt { .. })) => {}
+                Ok(other) => {
+                    panic!("byte {i} ^ {mask:#04x}: expected SnapshotCorrupt, got {other:?}")
+                }
+                Err(_) => panic!("byte {i} ^ {mask:#04x}: decoding panicked"),
+            }
+            damaged[i] ^= mask;
+        }
+    }
+    let old = [b"VMPSNAP\x01".as_slice(), &bytes[8..]].concat();
+    match MachineSnapshot::from_bytes(&old) {
+        Err(MachineError::SnapshotCorrupt { detail }) => {
+            assert!(detail.contains("format version 1"), "{detail}")
+        }
+        other => panic!("a version-1 file must be refused, got {other:?}"),
     }
 }
