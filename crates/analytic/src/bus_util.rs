@@ -36,27 +36,6 @@ pub fn bus_utilization(miss_ratio: f64, cost: &AverageMissCost, proc: &Processor
     bus_per_ref / time_per_ref
 }
 
-/// The miss ratio at which a single processor would reach a target bus
-/// utilization (the inverse of [`bus_utilization`]), useful for placing
-/// the "feasible region" markers on Figure 5.
-pub fn miss_ratio_for_utilization(
-    target_util: f64,
-    cost: &AverageMissCost,
-    proc: &ProcessorModel,
-) -> f64 {
-    assert!((0.0..1.0).contains(&target_util), "utilization must be in [0,1)");
-    let r = proc.ref_interval().as_ns() as f64;
-    let b = cost.bus.as_ns() as f64;
-    let e = cost.elapsed.as_ns() as f64;
-    // util = m·b / (r + m·e)  →  m = util·r / (b − util·e)
-    let denom = b - target_util * e;
-    assert!(denom > 0.0, "target utilization unreachable: bus time saturates");
-    target_util * r / denom
-}
-
-/// Convenience: utilization is zero with no misses.
-pub const ZERO_UTILIZATION: f64 = 0.0;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,20 +82,6 @@ mod tests {
 
     #[test]
     fn zero_misses_zero_utilization() {
-        assert_eq!(
-            bus_utilization(0.0, &avg(PageSize::S256), &ProcessorModel::default()),
-            ZERO_UTILIZATION
-        );
-    }
-
-    #[test]
-    fn inverse_roundtrips() {
-        let a = avg(PageSize::S256);
-        let p = ProcessorModel::default();
-        for target in [0.05, 0.1, 0.2] {
-            let m = miss_ratio_for_utilization(target, &a, &p);
-            let u = bus_utilization(m, &a, &p);
-            assert!((u - target).abs() < 1e-9, "target {target} got {u}");
-        }
+        assert_eq!(bus_utilization(0.0, &avg(PageSize::S256), &ProcessorModel::default()), 0.0);
     }
 }

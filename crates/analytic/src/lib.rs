@@ -36,7 +36,7 @@ mod queueing;
 mod sharing;
 mod table;
 
-pub use bus_util::{bus_utilization, miss_ratio_for_utilization, ZERO_UTILIZATION};
+pub use bus_util::bus_utilization;
 pub use miss_cost::{AverageMissCost, MissCostModel};
 pub use performance::{processor_performance, ProcessorModel};
 pub use queueing::{max_processors, mva, MvaResult};

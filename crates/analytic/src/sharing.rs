@@ -3,15 +3,14 @@
 //! When several processors take turns writing one cache page — a lock
 //! word, a shared counter — every turn migrates ownership: the previous
 //! owner's write-back plus the new owner's read-private, ≈2 block
-//! transfers of bus time and one abort/retry of latency. This model
-//! quantifies when that is acceptable (many accesses per turn amortize
-//! the migration) and when it is the "enormous consistency overhead" of
-//! test-and-set spinning (one access per turn).
+//! transfers of bus time and one abort/retry of latency. Spread over
+//! many accesses per turn that is cheap; at one access per turn it is
+//! the "enormous consistency overhead" of test-and-set spinning.
 
 use vmp_mem::MemTimings;
 use vmp_types::{Nanos, PageSize};
 
-use crate::{MissCostModel, ProcessorModel};
+use crate::MissCostModel;
 
 /// Per-turn costs of migratory sharing of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,18 +28,12 @@ pub struct MigratorySharing {
     page: PageSize,
     mem: MemTimings,
     miss: MissCostModel,
-    proc: ProcessorModel,
 }
 
 impl MigratorySharing {
     /// Builds the model from the paper's constants for `page`.
     pub fn paper(page: PageSize) -> Self {
-        MigratorySharing {
-            page,
-            mem: MemTimings::default(),
-            miss: MissCostModel::paper(page),
-            proc: ProcessorModel::default(),
-        }
+        MigratorySharing { page, mem: MemTimings::default(), miss: MissCostModel::paper(page) }
     }
 
     /// Cost of one ownership migration.
@@ -52,39 +45,6 @@ impl MigratorySharing {
             // while the old owner flushes.
             latency: self.miss.elapsed(false) + self.miss.elapsed(true) / 4,
         }
-    }
-
-    /// Fraction of a turn's time spent on the migration itself, when the
-    /// owner performs `accesses` cached accesses per turn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `accesses` is zero.
-    pub fn migration_overhead(&self, accesses: u64) -> f64 {
-        assert!(accesses > 0, "a turn has at least one access");
-        let m = self.migration().latency.as_ns() as f64;
-        let useful = (accesses - 1) as f64 * self.proc.ref_interval().as_ns() as f64;
-        m / (m + useful)
-    }
-
-    /// The smallest accesses-per-turn for which migration overhead drops
-    /// below `target` (e.g. 0.1 for "under 10 %").
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `target` is in `(0, 1)`.
-    pub fn accesses_for_overhead(&self, target: f64) -> u64 {
-        assert!(target > 0.0 && target < 1.0, "target is a fraction");
-        let m = self.migration().latency.as_ns() as f64;
-        let r = self.proc.ref_interval().as_ns() as f64;
-        // m / (m + (a-1)·r) ≤ t  →  a ≥ 1 + m(1-t)/(t·r)
-        (1.0 + m * (1.0 - target) / (target * r)).ceil() as u64
-    }
-
-    /// Bus bandwidth consumed by migrations at `turns_per_second`
-    /// ownership transfers, as a fraction of total bus capacity.
-    pub fn bus_share(&self, turns_per_second: f64) -> f64 {
-        (self.migration().bus.as_ns() as f64 * turns_per_second / 1e9).min(1.0)
     }
 }
 
@@ -100,54 +60,10 @@ mod tests {
     }
 
     #[test]
-    fn single_access_turns_are_nearly_all_overhead() {
-        // The test-and-set spin case: one access per ownership transfer.
-        let s = MigratorySharing::paper(PageSize::S256);
-        assert!(s.migration_overhead(1) > 0.99);
-    }
-
-    #[test]
-    fn overhead_amortizes_with_turn_length() {
-        let s = MigratorySharing::paper(PageSize::S256);
-        let mut last = 1.1;
-        for a in [1, 10, 100, 1000, 10_000] {
-            let o = s.migration_overhead(a);
-            assert!(o < last, "not decreasing at {a}");
-            last = o;
-        }
-        assert!(s.migration_overhead(10_000) < 0.1);
-    }
-
-    #[test]
-    fn accesses_for_overhead_inverts() {
-        let s = MigratorySharing::paper(PageSize::S256);
-        for target in [0.5, 0.1, 0.01] {
-            let a = s.accesses_for_overhead(target);
-            assert!(s.migration_overhead(a) <= target + 1e-9);
-            if a > 1 {
-                assert!(s.migration_overhead(a - 1) > target);
-            }
-        }
-    }
-
-    #[test]
     fn larger_pages_migrate_dearer() {
         let small = MigratorySharing::paper(PageSize::S128).migration();
         let large = MigratorySharing::paper(PageSize::S512).migration();
         assert!(large.bus > small.bus);
         assert!(large.latency > small.latency);
-    }
-
-    #[test]
-    fn bus_share_saturates() {
-        let s = MigratorySharing::paper(PageSize::S512);
-        assert!(s.bus_share(10.0) < 0.001);
-        assert_eq!(s.bus_share(1e9), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one access")]
-    fn rejects_zero_accesses() {
-        let _ = MigratorySharing::paper(PageSize::S128).migration_overhead(0);
     }
 }

@@ -58,11 +58,6 @@ impl SnoopySystem {
         }
     }
 
-    /// The configured line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
-    }
-
     fn line_of(&self, addr: u64) -> u64 {
         addr / self.line_bytes
     }
@@ -134,7 +129,6 @@ mod tests {
         s.access(Access { cpu: 0, addr: 15, write: false }); // same line
         s.access(Access { cpu: 0, addr: 16, write: false }); // next line
         assert_eq!(s.traffic().block_transfers, 2);
-        assert_eq!(s.line_bytes(), 16);
     }
 
     #[test]

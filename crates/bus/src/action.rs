@@ -62,8 +62,7 @@ impl fmt::Display for ActionCode {
 /// For the prototype's maximum of 8 MB of physical memory with 128-byte
 /// pages this is 64 Ki entries × 2 bits = 16 KB of SRAM per board (paper
 /// §3.2, footnote 6); the simulator stores one byte per entry for
-/// simplicity but reports the hardware size via
-/// [`ActionTable::hardware_bytes`].
+/// simplicity.
 ///
 /// # Examples
 ///
@@ -75,7 +74,6 @@ impl fmt::Display for ActionCode {
 /// assert_eq!(t.get(FrameNum::new(9)), ActionCode::Ignore);
 /// t.set(FrameNum::new(9), ActionCode::Protect);
 /// assert_eq!(t.get(FrameNum::new(9)), ActionCode::Protect);
-/// assert_eq!(t.hardware_bytes(), 16 * 1024);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ActionTable {
@@ -91,11 +89,6 @@ impl ActionTable {
     /// Number of frames covered.
     pub fn frames(&self) -> u64 {
         self.entries.len() as u64
-    }
-
-    /// The SRAM the real table would occupy: two bits per frame.
-    pub fn hardware_bytes(&self) -> u64 {
-        (self.entries.len() as u64 * 2).div_ceil(8)
     }
 
     /// Reads the entry for a frame.
@@ -158,15 +151,6 @@ mod tests {
         assert_eq!(active[0], (FrameNum::new(3), ActionCode::InterruptOnOwnership));
         t.clear();
         assert_eq!(t.iter_active().count(), 0);
-    }
-
-    #[test]
-    fn hardware_size_matches_paper_footnote() {
-        // 8 MB / 128 B pages = 64 Ki frames → 16 KB of 2-bit entries;
-        // 256 B pages → 8 KB; 512 B pages → 4 KB (paper footnote 6).
-        assert_eq!(ActionTable::new(8 * 1024 * 1024 / 128).hardware_bytes(), 16 * 1024);
-        assert_eq!(ActionTable::new(8 * 1024 * 1024 / 256).hardware_bytes(), 8 * 1024);
-        assert_eq!(ActionTable::new(8 * 1024 * 1024 / 512).hardware_bytes(), 4 * 1024);
     }
 
     #[test]

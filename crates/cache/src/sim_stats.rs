@@ -31,11 +31,6 @@ impl CacheSimStats {
         ratio(self.misses, self.refs)
     }
 
-    /// Miss ratio of supervisor-mode references alone.
-    pub fn supervisor_miss_ratio(&self) -> f64 {
-        ratio(self.supervisor_misses, self.supervisor_refs)
-    }
-
     /// Fraction of all misses attributable to supervisor references.
     pub fn supervisor_miss_share(&self) -> f64 {
         ratio(self.supervisor_misses, self.misses)
@@ -90,7 +85,6 @@ mod tests {
             write_hits_clean: 7,
         };
         assert!((s.miss_ratio() - 0.01).abs() < 1e-12);
-        assert!((s.supervisor_miss_ratio() - 0.02).abs() < 1e-12);
         assert!((s.supervisor_miss_share() - 0.5).abs() < 1e-12);
         assert!((s.clean_replacement_fraction() - 0.75).abs() < 1e-12);
     }

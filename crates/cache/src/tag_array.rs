@@ -102,8 +102,8 @@ struct Meta {
 /// is ORed into a bit mask, without an early exit, and the lowest set bit
 /// names the way. A slot is valid exactly when its key is not the empty
 /// key. A page number too wide to pack (2^56 − 1 and above, reachable only
-/// with pages under 256 bytes) keys as [`WIDE`] and its tag is matched
-/// whole on a cold path, so every tag matches exactly.
+/// with pages under 256 bytes) keys as a reserved wide key and its tag is
+/// matched whole on a cold path, so every tag matches exactly.
 ///
 /// # Examples
 ///

@@ -339,169 +339,3 @@ mod tests {
         assert_eq!(w.effective_zero_yield_limit(), 2);
     }
 }
-
-/// Builder for [`MachineConfig`] (and, via [`MachineBuilder::build`],
-/// for a whole machine).
-///
-/// # Examples
-///
-/// ```
-/// use vmp_core::MachineBuilder;
-/// use vmp_types::PageSize;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let machine = MachineBuilder::new()
-///     .processors(2)
-///     .cache_geometry(PageSize::S128, 2, 16 * 1024)?
-///     .memory_bytes(256 * 1024)
-///     .validate_each_step(true)
-///     .build()?;
-/// assert_eq!(machine.processors(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct MachineBuilder {
-    config: MachineConfig,
-}
-
-impl MachineBuilder {
-    /// Starts from the default (prototype) configuration.
-    pub fn new() -> Self {
-        MachineBuilder { config: MachineConfig::default() }
-    }
-
-    /// Sets the number of processor boards.
-    pub fn processors(mut self, n: usize) -> Self {
-        self.config.processors = n;
-        self
-    }
-
-    /// Sets the cache geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for invalid geometry (see
-    /// [`vmp_cache::CacheConfig::new`]).
-    pub fn cache_geometry(
-        mut self,
-        page: PageSize,
-        associativity: usize,
-        total_bytes: u64,
-    ) -> Result<Self, ConfigError> {
-        self.config.cache = CacheConfig::new(page, associativity, total_bytes)?;
-        Ok(self)
-    }
-
-    /// Sets the main-memory size in bytes.
-    pub fn memory_bytes(mut self, bytes: u64) -> Self {
-        self.config.memory_bytes = bytes;
-        self
-    }
-
-    /// Replaces the CPU/handler timing parameters.
-    pub fn cpu_timings(mut self, cpu: CpuTimings) -> Self {
-        self.config.cpu = cpu;
-        self
-    }
-
-    /// Sets the demand-zero page-fault service time (a common knob:
-    /// experiments that study cache behaviour often zero it).
-    pub fn page_fault(mut self, cost: Nanos) -> Self {
-        self.config.cpu.page_fault = cost;
-        self
-    }
-
-    /// Enables or disables per-event invariant validation.
-    pub fn validate_each_step(mut self, on: bool) -> Self {
-        self.config.validate_each_step = on;
-        self
-    }
-
-    /// Runs the invariant validator every `events` delivered events
-    /// (`None` disables the audit).
-    pub fn audit_every(mut self, events: Option<u64>) -> Self {
-        self.config.audit_every = events;
-        self
-    }
-
-    /// Arms the liveness watchdog with the given thresholds
-    /// (`WatchdogConfig::default()` derives everything from the timing
-    /// configuration).
-    pub fn watchdog(mut self, config: WatchdogConfig) -> Self {
-        self.config.watchdog = Some(config);
-        self
-    }
-
-    /// Sets the cap on the exponential retry-backoff streak.
-    pub fn max_retry_streak(mut self, cap: u32) -> Self {
-        self.config.cpu.max_retry_streak = cap;
-        self
-    }
-
-    /// Configures observability (`ObsConfig::on()` enables recording
-    /// with the default ring and histogram sizes).
-    pub fn obs(mut self, config: ObsConfig) -> Self {
-        self.config.obs = config;
-        self
-    }
-
-    /// Sets the simulation time limit.
-    pub fn max_time(mut self, limit: Nanos) -> Self {
-        self.config.max_time = limit;
-        self
-    }
-
-    /// Returns the accumulated configuration without building a machine.
-    pub fn config(self) -> MachineConfig {
-        self.config
-    }
-
-    /// Builds the machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::MachineError::Config`] if the configuration is
-    /// inconsistent.
-    pub fn build(self) -> Result<crate::Machine, crate::MachineError> {
-        crate::Machine::build(self.config)
-    }
-}
-
-impl Default for MachineBuilder {
-    fn default() -> Self {
-        MachineBuilder::new()
-    }
-}
-
-#[cfg(test)]
-mod builder_tests {
-    use super::*;
-
-    #[test]
-    fn builder_sets_fields() {
-        let config = MachineBuilder::new()
-            .processors(3)
-            .memory_bytes(1024 * 1024)
-            .page_fault(Nanos::ZERO)
-            .max_time(Nanos::from_ms(5))
-            .validate_each_step(true)
-            .config();
-        assert_eq!(config.processors, 3);
-        assert_eq!(config.memory_bytes, 1024 * 1024);
-        assert_eq!(config.cpu.page_fault, Nanos::ZERO);
-        assert_eq!(config.max_time, Nanos::from_ms(5));
-        assert!(config.validate_each_step);
-    }
-
-    #[test]
-    fn builder_rejects_bad_geometry() {
-        assert!(MachineBuilder::new().cache_geometry(PageSize::S256, 3, 1000).is_err());
-    }
-
-    #[test]
-    fn builder_builds_machine() {
-        let m = MachineBuilder::new().processors(1).build().unwrap();
-        assert_eq!(m.processors(), 1);
-    }
-}

@@ -96,21 +96,6 @@ impl DmaEngine {
     }
 }
 
-/// A description of a DMA device for documentation and examples; the
-/// machine drives [`DmaRequest`]s directly.
-#[derive(Debug, Clone)]
-pub struct DmaDevice {
-    /// Human-readable name ("ethernet", "framebuffer").
-    pub name: String,
-}
-
-impl DmaDevice {
-    /// Creates a named device description.
-    pub fn new(name: impl Into<String>) -> Self {
-        DmaDevice { name: name.into() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,10 +132,5 @@ mod tests {
             0,
             DmaRequest::to_memory(vec![FrameNum::new(0)], vec![]),
         );
-    }
-
-    #[test]
-    fn device_name() {
-        assert_eq!(DmaDevice::new("ethernet").name, "ethernet");
     }
 }

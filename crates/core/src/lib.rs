@@ -15,7 +15,7 @@
 //! playback ([`TraceProgram`]), scripted operation lists
 //! ([`ScriptProgram`]), or the synchronization workloads of §5.4
 //! ([`workloads`]); [`scenarios`] names the small machines the tests and
-//! tools build from them. DMA devices ([`DmaDevice`]) transfer through plain
+//! tools build from them. DMA transfers ([`DmaRequest`]) go through plain
 //! bus transactions under assert-ownership protection, exactly as §3.3
 //! prescribes.
 //!
@@ -60,13 +60,13 @@ mod stats;
 mod validate;
 pub mod workloads;
 
-pub use config::{CpuTimings, MachineBuilder, MachineConfig, WatchdogConfig};
-pub use dma::{DmaDevice, DmaDirection, DmaRequest};
+pub use config::{CpuTimings, MachineConfig, WatchdogConfig};
+pub use dma::{DmaDirection, DmaRequest};
 pub use error::{MachineError, WatchdogViolation};
 pub use kernel::Kernel;
 pub use machine::Machine;
 pub use phys_index::PhysIndex;
-pub use program::{sweep_refs, Op, OpResult, Program, ScriptProgram, TraceProgram};
+pub use program::{Op, OpResult, Program, ScriptProgram, TraceProgram};
 pub use snapshot::MachineSnapshot;
 pub use stats::{FaultStats, MachineReport, ProcessorStats};
 pub use vmp_obs::{MachineObs, ObsConfig};

@@ -283,12 +283,6 @@ impl Machine {
         self.fault_hook = Box::new(hook);
     }
 
-    /// Removes the installed fault hook (restoring [`NoFaults`]) and
-    /// returns it, so its own injection counts can be inspected.
-    pub fn take_fault_hook(&mut self) -> Box<dyn FaultHook> {
-        std::mem::replace(&mut self.fault_hook, Box::new(NoFaults))
-    }
-
     /// Machine-side fault accounting for the run so far.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats

@@ -5,7 +5,7 @@ use std::fmt;
 
 use vmp_obs::json::Value;
 use vmp_trace::MemRef;
-use vmp_types::{AccessKind, Asid, Nanos, PhysAddr, VirtAddr};
+use vmp_types::{AccessKind, Nanos, PhysAddr, VirtAddr};
 
 use crate::codec::{Dec, Enc, Leaf};
 use crate::MachineError;
@@ -274,15 +274,10 @@ impl Program for TraceProgram {
 
 record! { struct TraceCursor { emitted: u64, thinking: bool, has_pending: bool } }
 
-/// Builds a simple sequential-sweep reference stream for tests and
-/// examples: `count` word reads walking from `base`.
-pub fn sweep_refs(asid: Asid, base: u64, count: u64) -> impl Iterator<Item = MemRef> + Send {
-    (0..count).map(move |i| MemRef::read(asid, VirtAddr::new(base + i * 4)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmp_types::Asid;
 
     #[test]
     fn script_runs_in_order_then_halts() {
@@ -330,14 +325,6 @@ mod tests {
         assert_eq!(p.next_op(OpResult::None), Op::Compute(Nanos::from_ns(500)));
         assert_eq!(p.next_op(OpResult::None), Op::Read(VirtAddr::new(0)));
         assert_eq!(p.next_op(OpResult::None), Op::Halt);
-    }
-
-    #[test]
-    fn sweep_refs_walks_words() {
-        let v: Vec<MemRef> = sweep_refs(Asid::new(2), 0x100, 3).collect();
-        assert_eq!(v.len(), 3);
-        assert_eq!(v[2].addr, VirtAddr::new(0x108));
-        assert!(v.iter().all(|r| r.kind.is_read()));
     }
 
     #[test]

@@ -221,16 +221,6 @@ impl FaultPlan {
         FaultPlan::new(seed, FaultRates { abort: 1.0, ..FaultRates::none() })
     }
 
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The configured rates.
-    pub fn rates(&self) -> &FaultRates {
-        &self.rates
-    }
-
     /// Faults injected so far, by class.
     pub fn injected(&self) -> InjectionCounts {
         self.counts

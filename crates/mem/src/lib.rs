@@ -1,11 +1,12 @@
-//! Memory subsystems of the VMP machine: shared main memory, the block
-//! copier's transfer timing, and per-processor local memory.
+//! Memory subsystems of the VMP machine: shared main memory and the
+//! block copier's transfer timing.
 //!
 //! The paper's main memory is optimized for sequential access with
 //! static-column RAM: the first access costs 300 ns, each subsequent
 //! sequential longword under 100 ns, giving the block copier its
 //! 40 MB/s transfer rate (§2, §4). Local memory holds the cache-miss
-//! handler's code and data so the handler itself can never miss (§2).
+//! handler's code and data so the handler itself can never miss (§2);
+//! the machine charges handler time directly instead of modelling it.
 //!
 //! # Examples
 //!
@@ -23,10 +24,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod local;
 mod main_memory;
 mod timings;
 
-pub use local::LocalMemory;
 pub use main_memory::MainMemory;
 pub use timings::{MemTimings, MAX_TRANSFER_RETRIES};

@@ -52,12 +52,6 @@ impl MemTimings {
         self.block_transfer(page.longwords())
     }
 
-    /// Effective bandwidth of a one-page transfer, in megabytes/second.
-    pub fn page_bandwidth_mbps(&self, page: PageSize) -> f64 {
-        let t = self.page_transfer(page);
-        page.bytes() as f64 / t.as_secs_f64() / 1e6
-    }
-
     /// Time of a page transfer whose copier failed `failures` times
     /// before succeeding: each failed attempt occupies a full transfer
     /// slot (the copier detects the error only at the end of the block).
@@ -102,17 +96,5 @@ mod tests {
             one * u64::from(MAX_TRANSFER_RETRIES + 1),
             "runaway failure counts clamp to the retry budget"
         );
-    }
-
-    #[test]
-    fn approaches_40_mbps_for_large_pages() {
-        // The paper quotes ≈40 MB/s for the block copier; asymptotically
-        // 4 bytes / 100 ns = 40 MB/s, with the 300 ns first-word cost
-        // amortized over larger pages.
-        let t = MemTimings::default();
-        let bw512 = t.page_bandwidth_mbps(PageSize::S512);
-        assert!(bw512 > 35.0 && bw512 < 40.0, "bw {bw512}");
-        let bw128 = t.page_bandwidth_mbps(PageSize::S128);
-        assert!(bw128 < bw512, "larger pages amortize the first access");
     }
 }

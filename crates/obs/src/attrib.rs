@@ -585,14 +585,6 @@ impl AttribTable {
             + self.pages.values().map(|p| p.counts[class.index()]).sum::<u64>()
     }
 
-    /// Aborted tracked transactions of one class, across pages and the
-    /// unattributed bucket. Per-page abort counts are not split by
-    /// class, so this is only meaningful summed over all classes; use
-    /// [`AttribTable::abort_total`] for the per-page-comparable number.
-    pub fn unattributed_aborts(&self, class: TxClass) -> u64 {
-        self.unattributed_aborts[class.index()]
-    }
-
     /// Completed tracked transactions of one class that hit a frame
     /// with no known mapping.
     pub fn unattributed(&self, class: TxClass) -> u64 {
@@ -713,7 +705,6 @@ mod tests {
         t.record_tx(FrameNum::new(3), 0, BusTxKind::Notify, false, Nanos::ZERO);
         assert_eq!(t.page_count(), 0);
         assert_eq!(t.unattributed(TxClass::ReadShared), 1);
-        assert_eq!(t.unattributed_aborts(TxClass::ReadShared), 1);
         assert_eq!(t.class_total(TxClass::ReadShared), 1);
         assert_eq!(t.abort_total(), 1);
         assert_eq!(t.summary().unattributed, 1);

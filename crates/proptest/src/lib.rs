@@ -264,7 +264,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

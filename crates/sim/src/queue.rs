@@ -21,7 +21,7 @@ use vmp_types::Nanos;
 /// let mut q: EventQueue<u32> = EventQueue::new();
 /// assert!(q.is_empty());
 /// q.schedule(Nanos::from_ns(5), 1);
-/// q.schedule_after(Nanos::from_ns(5), Nanos::from_ns(0), 2);
+/// q.schedule(Nanos::from_ns(5), 2);
 /// assert_eq!(q.len(), 2);
 /// assert_eq!(q.peek_time(), Some(Nanos::from_ns(5)));
 /// ```
@@ -65,11 +65,6 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry { key: Reverse((at, seq)), event });
-    }
-
-    /// Schedules `event` at `now + delay`.
-    pub fn schedule_after(&mut self, now: Nanos, delay: Nanos, event: E) {
-        self.schedule(now + delay, event);
     }
 
     /// Removes and returns the earliest event with its timestamp.
@@ -215,13 +210,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "t5-first");
         assert_eq!(q.pop().unwrap().1, "t5-second");
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn schedule_after_adds_delay() {
-        let mut q = EventQueue::new();
-        q.schedule_after(Nanos::from_ns(100), Nanos::from_ns(50), ());
-        assert_eq!(q.peek_time(), Some(Nanos::from_ns(150)));
     }
 
     #[test]

@@ -37,10 +37,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod csv;
 
-pub use checkpoint::SweepCheckpoint;
 pub use csv::CsvTable;
 
 use std::num::NonZeroUsize;

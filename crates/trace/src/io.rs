@@ -157,8 +157,9 @@ pub fn write_binary<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoErro
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Parse`] on a bad header or malformed record,
-/// or [`TraceIoError::Io`] on reader failure.
+/// Returns [`TraceIoError::Parse`] on a bad header, a malformed record
+/// or bytes after the declared record count, or [`TraceIoError::Io`] on
+/// reader failure.
 pub fn read_binary<R: std::io::Read>(mut r: R) -> Result<Trace, TraceIoError> {
     let bad = |what: &str| TraceIoError::Parse { line: 0, content: what.to_owned() };
     let mut magic = [0u8; 5];
@@ -182,6 +183,9 @@ pub fn read_binary<R: std::io::Read>(mut r: R) -> Result<Trace, TraceIoError> {
         let privilege = if rec[1] & 0x80 != 0 { Privilege::Supervisor } else { Privilege::User };
         let addr = u64::from_le_bytes(rec[2..10].try_into().expect("fixed slice"));
         trace.push(MemRef { asid: Asid::new(rec[0]), addr: VirtAddr::new(addr), kind, privilege });
+    }
+    if r.read(&mut rec)? > 0 {
+        return Err(bad(&format!("trailing bytes after record {len}")));
     }
     Ok(trace)
 }
@@ -227,6 +231,20 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let err = read_binary(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("truncated") || err.to_string().contains("i/o"));
+    }
+
+    #[test]
+    fn binary_rejects_trailing_bytes() {
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &sample()).unwrap();
+        let one = buf.clone();
+        buf.extend_from_slice(&one); // two traces back to back
+        let err = read_binary(buf.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceIoError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("trailing bytes after record 3"), "{err}");
+        let mut one_byte = one;
+        one_byte.push(0);
+        assert!(read_binary(one_byte.as_slice()).is_err());
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Trace {
         Trace { refs: Vec::new() }
     }
 
-    /// Creates a trace from an existing vector of references.
-    pub fn from_vec(refs: Vec<MemRef>) -> Self {
-        Trace { refs }
-    }
-
     /// Number of references in the trace.
     pub fn len(&self) -> usize {
         self.refs.len()
@@ -211,15 +206,5 @@ mod tests {
         t.extend(sample());
         assert_eq!(t.len(), 4);
         assert_eq!(t.as_slice().len(), 4);
-    }
-
-    #[test]
-    fn from_vec_preserves_order() {
-        let v = vec![
-            MemRef::read(Asid::new(0), VirtAddr::new(8)),
-            MemRef::read(Asid::new(0), VirtAddr::new(4)),
-        ];
-        let t = Trace::from_vec(v.clone());
-        assert_eq!(t.as_slice(), v.as_slice());
     }
 }
